@@ -27,6 +27,12 @@ def uniform_prior(circle):
     return PriorSpec.uniform_unit(circle)
 
 
+@pytest.fixture(scope="session")
+def cosine_prior(circle):
+    """A smooth non-uniform base, 1 + cos(u)/2 on the circle (mass 2*pi)."""
+    return PriorSpec(circle, lambda u: 1.0 + 0.5 * np.cos(u), 2.0 * math.pi)
+
+
 def batch_se(values, n_batches=40):
     """Standard error of an autocorrelated trace via batch means."""
     values = np.asarray(values, dtype=float)

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import batch_se
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
-                       RngStream, estimate_intensity, estimate_intensity_multi,
+                       RngStream, Window, estimate_intensity, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
-from nhppbayes.kernels import eval_kernel
+from nhppbayes.kernels import KernelSpec, eval_kernel
+from nhppbayes.posterior import base_predictive
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,6 +103,30 @@ class TestRunMcmc:
              for d in res.draws])
         se = batch_se(indicator)
         assert abs(indicator.mean() - p_together) < 3 * se
+
+
+class TestBasePredictive:
+    def test_von_mises_non_uniform_base(self, circle, vm5, cosine_prior):
+        # integral of k(y,u) (1 + cos(u)/2) du = 1 + I1(k)/I0(k) cos(y) / 2
+        from scipy.special import i0, i1
+        grid = circle.grid(64)
+        exact = 1.0 + 0.5 * float(i1(5.0) / i0(5.0)) * np.cos(grid)
+        np.testing.assert_allclose(base_predictive(cosine_prior, vm5, grid),
+                                   exact, rtol=1e-12)
+
+    def test_gaussian_non_uniform_base_on_interval(self):
+        # integral over [0, 4] of N(u; y, sigma^2) (1 + u/4) du, closed form
+        from scipy.stats import norm
+        window = Window.interval(0.0, 4.0)
+        sigma = 0.7
+        prior = PriorSpec(window, lambda u: 1.0 + 0.25 * np.asarray(u), 6.0)
+        kernel = KernelSpec.gaussian(sigma, window)
+        ys = np.linspace(0.0, 4.0, 41)
+        za, zb = (0.0 - ys) / sigma, (4.0 - ys) / sigma
+        exact = ((1.0 + 0.25 * ys) * (norm.cdf(zb) - norm.cdf(za))
+                 + 0.25 * sigma * (norm.pdf(za) - norm.pdf(zb)))
+        np.testing.assert_allclose(base_predictive(prior, kernel, ys), exact,
+                                   rtol=1e-6)
 
 
 class TestPosteriorLambdaBar:

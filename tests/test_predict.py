@@ -9,6 +9,7 @@ from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        predictive_log_score, predictive_point_logdensity,
                        run_mcmc)
 from nhppbayes.kernels import eval_kernel
+from nhppbayes.posterior import ClusterState
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +110,22 @@ class TestPointLayer:
         values = np.asarray(values)
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - oracle) < 3 * se
+
+    def test_one_draw_one_point_closed_form_non_uniform_base(
+            self, circle, vm5, cosine_prior):
+        # (base term + sum_c n_c k(y, u_c)) / (|alpha| + N), with the base
+        # term from its closed form 1 + I1(k)/I0(k) cos(y) / 2
+        from scipy.special import i0, i1
+        pattern = PointPattern(circle, [0.9, 1.1, 4.2])
+        state = ClusterState([0, 0, 1], [1.0, 4.0], [2, 1])
+        y = 2.5
+        base = 1.0 + 0.5 * float(i1(5.0) / i0(5.0)) * math.cos(y)
+        clusters = 2.0 * eval_kernel(vm5, y, 1.0) + eval_kernel(vm5, y, 4.0)
+        closed = (base + float(clusters)) / (TWO_PI + 3.0)
+        log_val = predictive_point_logdensity((state,), cosine_prior, vm5,
+                                              [y], pattern, RngStream(75),
+                                              aug_replicates=1)
+        assert math.exp(log_val) == pytest.approx(closed, rel=1e-12)
 
     def test_point_layer_free_of_gamma_and_beta(self, circle, vm5):
         # the point layer reads only the base measure, so members of the

@@ -7,8 +7,8 @@ from scipy import stats
 
 from conftest import poisson_gof_pvalue
 from nhppbayes import (IntensityModel, ModelError, PriorSpec, RngStream,
-                       mixture_intensity, sample_crp, sample_nhpp,
-                       sample_prior_intensity)
+                       mixture_intensity, sample_base, sample_crp,
+                       sample_nhpp, sample_prior_intensity)
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +121,17 @@ class TestSampleNhpp:
         model = mixture_intensity(spec, [0.0, 2.0], [3.0, 1.0])
         pattern = sample_nhpp(model, 2.0, RngStream(23))
         assert np.all((pattern.points >= -8.0) & (pattern.points <= 8.0))
+
+
+class TestSampleBase:
+    def test_non_uniform_base_bin_masses(self, cosine_prior):
+        # chi-square against the exact bin masses of (1 + cos(u)/2) / (2 pi)
+        edges = np.linspace(0.0, TWO_PI, 17)
+        masses = (np.diff(edges) + 0.5 * np.diff(np.sin(edges))) / TWO_PI
+        draws = sample_base(cosine_prior, 40_000, RngStream(59).generator())
+        assert np.all((draws >= 0.0) & (draws <= TWO_PI))
+        observed = np.histogram(draws, bins=edges)[0]
+        assert stats.chisquare(observed, masses * draws.size).pvalue > 0.001
 
 
 class TestSampleCrp:
