@@ -102,14 +102,17 @@ def load_config_file(args) -> dict:
     return obj
 
 
-def resolve(args, file_cfg: dict, keys) -> dict:
+def resolve(args) -> dict:
     """Merge defaults, config file, and flags (flags win); echo the result.
 
-    Feeding the echoed JSON back through --config reproduces the run.
+    The keys are the subcommand's own option names.  Feeding the echoed JSON
+    back through --config reproduces the run.
     """
+    file_cfg = load_config_file(args)
     out = {}
-    for key in keys:
-        flag_val = getattr(args, key, None)
+    for key, flag_val in vars(args).items():
+        if key in ("seed", "config", "command", "func"):
+            continue
         if flag_val is not None:
             out[key] = flag_val
         elif key in file_cfg:
@@ -124,15 +127,11 @@ def build_mcmc_config(cfg: dict) -> McmcConfig:
         burn_in=int(cfg.get("burn_in", 2000)),
         samples=int(cfg.get("samples", 2000)),
         thin=int(cfg.get("thin", 5)),
-        aux_components=int(cfg.get("aux_components", 3)),
-        location_step=float(cfg.get("location_step", 0.2)),
     )
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = load_config_file(args)
-    cfg = resolve(args, file_cfg,
-                  ["intensity", "exposure", "window", "out", "method"])
+    cfg = resolve(args)
     window = parse_window(cfg.get("window", "circle"))
     model = named_intensity(cfg.get("intensity", "sine2"), window)
     exposure = float(cfg.get("exposure", 1.0))
@@ -177,11 +176,7 @@ def _gammas(cfg: dict, prior_mass: float):
 
 
 def cmd_estimate(args) -> int:
-    file_cfg = load_config_file(args)
-    cfg = resolve(args, file_cfg,
-                  ["pattern", "window", "kernel", "kappa", "sigma", "s",
-                   "gamma", "shrink", "burn_in", "samples", "thin", "json",
-                   "csv", "svg", "true_intensity"])
+    cfg = resolve(args)
     window = parse_window(cfg.get("window", "circle"))
     pattern = _load_pattern(cfg["pattern"], window)
     kernel = _build_kernel(cfg, window)
@@ -232,11 +227,7 @@ def _write_estimates_csv(path, summaries) -> None:
 
 
 def cmd_predict(args) -> int:
-    file_cfg = load_config_file(args)
-    cfg = resolve(args, file_cfg,
-                  ["pattern", "future", "window", "kernel", "kappa", "sigma",
-                   "s", "t", "gamma_value", "burn_in", "samples", "thin",
-                   "out", "aug_replicates"])
+    cfg = resolve(args)
     window = parse_window(cfg.get("window", "circle"))
     pattern = _load_pattern(cfg["pattern"], window)
     futures = cfg.get("future") or []
@@ -343,11 +334,7 @@ def _check_theorem3(cfg: dict, seed: int) -> bool:
 
 
 def cmd_risk(args) -> int:
-    file_cfg = load_config_file(args)
-    cfg = resolve(args, file_cfg,
-                  ["check", "study", "abs_alpha", "tau", "w_points", "s", "t",
-                   "kappa", "replications", "nodes", "burn_in", "samples",
-                   "grid_size", "out"])
+    cfg = resolve(args)
     if cfg.get("study"):
         return _run_study(cfg)
     check = cfg.get("check")
@@ -414,9 +401,7 @@ def _run_study(cfg: dict) -> int:
 
 
 def cmd_figure1(args) -> int:
-    file_cfg = load_config_file(args)
-    cfg = resolve(args, file_cfg,
-                  ["out_dir", "kappa", "s", "burn_in", "samples", "thin"])
+    cfg = resolve(args)
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     window = Window.circle()

@@ -131,6 +131,46 @@ def quadrature_checked(f: Callable, window: Window, n: int = QUAD_NODES):
     return fine, abs(fine - coarse) / scale
 
 
+def cdf_table(window: Window, density: Callable, n: int = QUAD_NODES):
+    """Nodes and normalized CDF of a nonnegative density on n trapezoid cells.
+
+    On the circle the last node is 2*pi, where the density takes its value
+    at 0, so the table covers the whole circle.
+    """
+    if window.is_circle:
+        nodes = np.arange(n + 1) * (TWO_PI / n)
+        dens = density(np.mod(nodes, TWO_PI))
+    else:
+        nodes = np.linspace(window.a, window.b, n + 1)
+        dens = density(nodes)
+    dens = np.asarray(dens, dtype=float)
+    if np.any(dens < 0):
+        raise ModelError("density must be nonnegative for sampling")
+    seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes)
+    cdf = np.concatenate([[0.0], np.cumsum(seg)])
+    cdf /= cdf[-1]
+    return nodes, cdf
+
+
+def invert_cdf(table, u):
+    """Map uniforms u through a cdf_table by linear interpolation."""
+    nodes, cdf = table
+    idx = np.searchsorted(cdf, u, side="right") - 1
+    idx = np.clip(idx, 0, nodes.size - 2)
+    width = cdf[idx + 1] - cdf[idx]
+    frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
+    return nodes[idx] + frac * (nodes[idx + 1] - nodes[idx])
+
+
+def _cached_cdf_table(owner, density: Callable, n: int):
+    """cdf_table on the owner's window, cached on the (frozen) owner."""
+    cached = owner.__dict__.get("_cdf_table")
+    if cached is None or cached[0] != n:
+        cached = (n, cdf_table(owner.window, density, n))
+        object.__setattr__(owner, "_cdf_table", cached)
+    return cached[1]
+
+
 @dataclass(frozen=True)
 class PointPattern:
     """An observed realization: the count plus point locations in the window."""
@@ -269,12 +309,6 @@ class IntensityModel:
         return cls(window, "closed_form", value * window.length,
                    lambda u, _v=value: np.full_like(np.asarray(u, dtype=float), _v))
 
-    @classmethod
-    def from_grid(cls, density: GridDensity, total_mass: float) -> "IntensityModel":
-        """Wrap a normalized grid density scaled to the given mass."""
-        return cls(density.window, "closed_form", float(total_mass),
-                   lambda u, _d=density, _w=float(total_mass): _w * _d(u))
-
     def __call__(self, u):
         return np.asarray(self.evaluator(np.asarray(u, dtype=float)), dtype=float)
 
@@ -284,23 +318,7 @@ class IntensityModel:
 
     def shape_cdf_table(self, n: int = QUAD_NODES):
         """Tabulated CDF of the normalized shape (cached per resolution)."""
-        cached = getattr(self, "_shape_cdf", None)
-        if cached is not None and cached[0] == n:
-            return cached[1], cached[2]
-        window = self.window
-        if window.is_circle:
-            nodes = np.arange(n + 1) * (TWO_PI / n)
-            dens = self(np.mod(nodes, TWO_PI))
-        else:
-            nodes = np.linspace(window.a, window.b, n + 1)
-            dens = self(nodes)
-        if np.any(dens < 0):
-            raise ModelError("intensity must be nonnegative for sampling")
-        seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes)
-        cdf = np.concatenate([[0.0], np.cumsum(seg)])
-        cdf /= cdf[-1]
-        object.__setattr__(self, "_shape_cdf", (n, nodes, cdf))
-        return nodes, cdf
+        return _cached_cdf_table(self, self, n)
 
 
 @dataclass(frozen=True)
@@ -349,33 +367,14 @@ class PriorSpec:
         return PriorSpec(self.window, self.base_density, self.total_mass_alpha,
                          self.beta, gamma, self.uniform_base)
 
-    def normalized_base(self, u):
-        return np.asarray(self.base_density(np.asarray(u, dtype=float)),
-                          dtype=float) / self.total_mass_alpha
-
     def base_cdf_table(self, n: int = QUAD_NODES):
-        """Tabulated inverse-CDF support for sampling from the base shape.
-
-        The table is computed once per PriorSpec and cached.
-        """
-        cached = getattr(self, "_cdf_table", None)
-        if cached is not None and cached[0] == n:
-            return cached[1], cached[2]
-        nodes, weights = self.window.quad_nodes(n)
-        dens = np.asarray(self.base_density(nodes), dtype=float)
-        if np.any(dens <= 0):
-            raise ModelError("base density must be strictly positive")
-        # cumulative mass up to each node; prepend 0 at the left edge
-        if self.window.is_circle:
-            edges = np.concatenate([nodes, [TWO_PI]])
-            cum = np.concatenate([[0.0], np.cumsum(dens * weights)])
-        else:
-            edges = nodes
-            mids = 0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes)
-            cum = np.concatenate([[0.0], np.cumsum(mids)])
-        cum /= cum[-1]
-        object.__setattr__(self, "_cdf_table", (n, edges, cum))
-        return edges, cum
+        """Tabulated CDF of the base shape (cached per resolution)."""
+        def density(u):
+            dens = np.asarray(self.base_density(u), dtype=float)
+            if np.any(dens <= 0):
+                raise ModelError("base density must be strictly positive")
+            return dens
+        return _cached_cdf_table(self, density, n)
 
 
 @dataclass(frozen=True)
@@ -439,8 +438,3 @@ def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-
-
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)

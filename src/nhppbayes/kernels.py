@@ -8,10 +8,16 @@ and the Gaussian kernel on the real line,
 
     k(y, u) = exp(-(y - u)^2 / (2 sigma^2)) / sqrt(2 pi sigma^2).
 
+The von Mises normalizer is kept in log form, kappa + log(2 pi i0e(kappa)),
+with scipy's exponentially scaled Bessel function, so it stays finite for
+any concentration.
+
 The Gaussian kernel is a density on all of R; on a bounded interval window
 it is used without truncation renormalization, so a small amount of mass can
 leak outside the window when atoms sit near the boundary.  Model validation
-flags leakage beyond the integration tolerance.
+flags leakage beyond the integration tolerance, and the base-measure term of
+the posterior (``posterior.base_predictive``) integrates the kernel over the
+window only.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -23,45 +29,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
-from .core import TWO_PI, ModelError, IntensityModel, Window
+from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
+                   invert_cdf)
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
 def bessel_i0(kappa: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series for kappa <= 20 (deep in the convergent regime for the
-    concentrations used here), asymptotic expansion above.  Relative error
-    is below 1e-12 over the full range.
-    """
-    x = float(kappa)
-    if x < 0:
+    """Modified Bessel function of the first kind, order zero (scipy's i0)."""
+    if kappa < 0:
         raise ModelError("bessel_i0 requires kappa >= 0")
-    if x <= 20.0:
-        # sum (x/2)^(2m) / (m!)^2 until terms stop contributing
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for m in range(1, 200):
-            term *= q / (m * m)
-            total += term
-            if term < total * 1e-17:
-                break
-        return total
-    # e^x / sqrt(2 pi x) * sum_k prod_{j<=k} (2j-1)^2 / (k! (8x)^k)
-    total = 1.0
-    term = 1.0
-    for k in range(1, 60):
-        factor = (2 * k - 1.0) ** 2 / (8.0 * k * x)
-        term *= factor
-        if factor >= 1.0:
-            break
-        total += term
-        if term < total * 1e-17:
-            break
-    return math.exp(x) / math.sqrt(TWO_PI * x) * total
+    return float(special.i0(kappa))
 
 
 @dataclass(frozen=True)
@@ -83,8 +63,9 @@ class KernelSpec:
                 raise ModelError("von Mises kernel requires a circle window")
             if self.kappa is None or self.kappa < 0:
                 raise ModelError("von Mises kernel needs kappa >= 0")
-            object.__setattr__(self, "_log_norm",
-                               math.log(TWO_PI * bessel_i0(self.kappa)))
+            # log(2 pi I0(kappa)) through the scaled i0e, finite for any kappa
+            object.__setattr__(self, "_log_norm", self.kappa + math.log(
+                TWO_PI * float(special.i0e(self.kappa))))
         elif self.kind == "gaussian":
             if self.window.is_circle:
                 raise ModelError("Gaussian kernel requires an interval window")
@@ -128,14 +109,6 @@ def eval_kernel(spec: KernelSpec, y, u):
         return np.exp(spec.kappa * np.cos(y - u) - spec.log_norm)
     d = y - u
     return np.exp(-0.5 * (d / spec.sigma) ** 2 - spec.log_norm)
-
-
-def log_kernel(spec: KernelSpec, y, u):
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if spec.kind == "von_mises":
-        return spec.kappa * np.cos(y - u) - spec.log_norm
-    return -0.5 * ((y - u) / spec.sigma) ** 2 - spec.log_norm
 
 
 def mixture_density(spec: KernelSpec, locations, weights, y):
@@ -191,37 +164,22 @@ def member_stats(spec: KernelSpec, x: float):
     return x, x * x
 
 
-def log_member_product(spec: KernelSpec, stat0: float, stat1: float,
-                       n: int, u: float) -> float:
-    """log prod_{i in cluster} k(x_i, u) from the cluster statistics."""
-    if spec.kind == "von_mises":
-        return spec.kappa * (stat0 * math.cos(u) + stat1 * math.sin(u)) \
-            - n * spec.log_norm
-    s2 = spec.sigma * spec.sigma
-    return -0.5 * (stat1 - 2.0 * u * stat0 + n * u * u) / s2 - n * spec.log_norm
-
-
 def sample_kernel_posterior(spec: KernelSpec, prior, x: float, gen,
                             table_nodes: int = 2048) -> float:
     """Draw a location u from the density proportional to k(x, u) alpha(u).
 
-    With a uniform base this is the kernel itself centered at x (exact fast
-    paths); otherwise a tabulated inverse-CDF draw on the window.
+    With a uniform base this is the kernel centered at x, truncated to the
+    window for the Gaussian (an exact inverse-normal-CDF draw between the
+    window edges); otherwise a tabulated inverse-CDF draw on the window.
+    Each path consumes one draw from the generator.
     """
-    if prior.uniform_base:
-        if spec.kind == "von_mises":
-            return float(np.mod(gen.vonmises(x, spec.kappa), TWO_PI))
-        w = spec.window
-        while True:  # Gaussian truncated to the window by rejection
-            u = gen.normal(x, spec.sigma)
-            if w.a <= u <= w.b:
-                return float(u)
     window = spec.window
-    nodes = window.grid(table_nodes)
-    dens = eval_kernel(spec, x, nodes) * np.asarray(prior.base_density(nodes))
-    cdf = np.cumsum(dens)
-    cdf /= cdf[-1]
-    r = gen.random()
-    idx = int(np.searchsorted(cdf, r))
-    idx = min(idx, nodes.size - 1)
-    return float(nodes[idx])
+    if not prior.uniform_base:
+        table = cdf_table(window, lambda u: eval_kernel(spec, x, u)
+                          * np.asarray(prior.base_density(u)), table_nodes)
+        return float(invert_cdf(table, gen.random()))
+    if spec.kind == "von_mises":
+        return float(np.mod(gen.vonmises(x, spec.kappa), TWO_PI))
+    lo, hi = special.ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
+    u = x + spec.sigma * float(special.ndtri(lo + gen.random() * (hi - lo)))
+    return min(max(u, window.a), window.b)

@@ -8,6 +8,9 @@ latent clustering of the observations, using auxiliary-component Gibbs
 reassignment (a handful of fresh candidate locations per step) plus a
 random-walk Metropolis refresh of each cluster location every sweep.
 
+An empty pattern needs no chain: its posterior shape is the prior, so
+``run_mcmc`` returns no draws and the estimate is the prior predictive.
+
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
 differ only by their closed-form weight factor.
@@ -21,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, GridDensity, IntensityModel, ModelError,
-                   PointPattern, PriorSpec, quadrature)
+from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
 from .kernels import KernelSpec, eval_kernel, member_stats, mixture_density
 from .simulate import RngLike, as_generator, sample_base
 
@@ -71,11 +73,17 @@ class McmcConfig:
             raise ModelError("need burn_in >= 0, samples >= 1, thin >= 1")
         if self.aux_components < 1:
             raise ModelError("need at least one auxiliary component")
+        if not self.location_step > 0:
+            raise ModelError("location_step must be positive")
 
 
 @dataclass(frozen=True)
 class McmcResult:
-    """Retained draws plus chain diagnostics (never silently dropped)."""
+    """Retained draws plus chain diagnostics (never silently dropped).
+
+    An empty pattern gives no draws; its acceptance rate is reported as
+    None in the diagnostics, since no proposal was made.
+    """
 
     draws: tuple
     acceptance_rate: float
@@ -85,7 +93,7 @@ class McmcResult:
     def diagnostics(self) -> dict:
         trace = self.cluster_count_trace
         return {
-            "acceptance_rate": self.acceptance_rate,
+            "acceptance_rate": self.acceptance_rate if self.draws else None,
             "mean_clusters": float(np.mean(trace)) if trace.size else 0.0,
             "cluster_count_trace": trace.tolist(),
             "draws": len(self.draws),
@@ -112,13 +120,13 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
     The chain targets the distribution proportional to
     prod_l k(x_l, u_{c(l)}) times the Chinese-restaurant prior on the
-    partition and base-measure draws for the cluster locations.  Requires at
-    least one observation (the empty-pattern posterior equals the prior and
-    is handled by the estimation/prediction entry points directly).
+    partition and base-measure draws for the cluster locations.  The
+    empty-pattern posterior equals the prior: that case returns no draws and
+    takes nothing from the generator.
     """
     n_obs = pattern.count
-    if n_obs < 1:
-        raise ModelError("run_mcmc needs at least one observation")
+    if n_obs == 0:
+        return McmcResult((), 1.0, np.zeros(0, dtype=np.int64))
     if rng is None:
         raise ModelError("run_mcmc needs an RngStream or Generator")
     gen = as_generator(rng)
@@ -132,7 +140,8 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     win_a, win_b = window.a, window.b
 
     # scalar fast paths: kernel weights are inlined in the sweep loop below
-    # (normalizing constants cancel in every categorical draw)
+    # (normalizing constants cancel in every categorical draw, so the von
+    # Mises weight is scaled by exp(-kappa) to stay finite at large kappa)
     cos, sin, exp, log = math.cos, math.sin, math.exp, math.log
     von_mises = kernel.kind == "von_mises"
     if von_mises:
@@ -199,10 +208,10 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
             edge_append = cumulative.append
             if von_mises:
                 for sid in active:
-                    total += counts[sid] * exp(kap * cos(xi - locs[sid]))
+                    total += counts[sid] * exp(kap * cos(xi - locs[sid]) - kap)
                     edge_append(total)
                 for u in aux_locs:
-                    total += aux_w * exp(kap * cos(xi - u))
+                    total += aux_w * exp(kap * cos(xi - u) - kap)
                     edge_append(total)
             else:
                 for sid in active:
@@ -274,12 +283,15 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
 def base_predictive(prior: PriorSpec, kernel: KernelSpec, grid: np.ndarray,
                     n_quad: int = 4096) -> np.ndarray:
-    """integral of k(y, u) alpha(du) on the grid.
+    """integral of k(y, u) alpha(du) at the points of ``grid``.
 
-    For the uniform unit base this is identically 1 (the kernel integrates to
-    one); otherwise it is computed once by quadrature.
+    For the uniform unit base on the circle this is identically 1 (the kernel
+    integrates to one); otherwise it is computed by quadrature over the
+    window, which on an interval leaves out the Gaussian mass beyond the
+    edges.
     """
-    if prior.uniform_base and abs(prior.total_mass_alpha - prior.window.length) < 1e-12:
+    if prior.uniform_base and prior.window.is_circle \
+            and abs(prior.total_mass_alpha - prior.window.length) < 1e-12:
         return np.ones(grid.size)
     nodes, weights = prior.window.quad_nodes(n_quad)
     dens = np.asarray(prior.base_density(nodes), dtype=float) * weights
@@ -330,9 +342,6 @@ class PosteriorSummary:
     lambda_hat: GridDensity
     diagnostics: dict = field(default_factory=dict)
 
-    def intensity(self) -> IntensityModel:
-        return IntensityModel.from_grid(self.lambda_bar, self.weight_mean)
-
     def to_json(self) -> dict:
         return {
             "gamma": self.gamma,
@@ -363,14 +372,9 @@ def estimate_intensity_multi(pattern: PointPattern, prior: PriorSpec,
     factor.
     """
     grid = prior.window.grid(grid_size)
-    if pattern.count == 0:
-        lam_bar = posterior_lambda_bar([], prior, kernel, grid)
-        diagnostics = {"acceptance_rate": None, "mean_clusters": 0.0,
-                       "cluster_count_trace": [], "draws": 0}
-    else:
-        result = run_mcmc(pattern, prior, kernel, config, rng)
-        lam_bar = posterior_lambda_bar(result.draws, prior, kernel, grid)
-        diagnostics = result.diagnostics
+    result = run_mcmc(pattern, prior, kernel, config, rng)
+    lam_bar = posterior_lambda_bar(result.draws, prior, kernel, grid)
+    diagnostics = result.diagnostics
     summaries = []
     for gamma in gammas:
         member = prior.with_gamma(gamma)

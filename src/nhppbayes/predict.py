@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ModelError, PointPattern, PriorSpec, quadrature
-from .kernels import KernelSpec, eval_kernel, sample_kernel_posterior
-from .posterior import ClusterState, McmcConfig, run_mcmc
+from .core import ModelError, PointPattern, PriorSpec
+from .kernels import KernelSpec, sample_kernel_posterior
+from .posterior import ClusterState, McmcConfig, base_predictive, run_mcmc
 from .simulate import RngLike, as_generator
 
 
@@ -81,22 +81,16 @@ def predictive_point_logdensity(draws: Sequence[ClusterState], prior: PriorSpec,
     0.0 for an empty future (the empty product).
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    m_future = ys.size
-    if m_future == 0:
+    if ys.size == 0:
         return 0.0
     gen = as_generator(rng)
     theta = prior.total_mass_alpha
     n_obs = pattern.count
     states = list(draws) if len(draws) else [None]
 
-    # integral of k(y_j, u) alpha(du) for each future point
-    if prior.uniform_base and abs(theta - prior.window.length) < 1e-12:
-        base_vals = [1.0] * m_future
-    else:
-        base_vals = [quadrature(
-            lambda u, _y=y: eval_kernel(kernel, _y, u)
-            * np.asarray(prior.base_density(u)), prior.window)
-            for y in ys]
+    # integral of k(y_j, u) alpha(du) for each future point, as floats for
+    # the scalar loop below
+    base_vals = base_predictive(prior, kernel, ys).tolist()
 
     exp, log, cos = math.exp, math.log, math.cos
     if kernel.kind == "von_mises":
@@ -167,9 +161,6 @@ class PredictiveDensity:
     def count_log_pmf(self, m: int) -> float:
         return nb_log_pmf(self.r, self.p, m)
 
-    def count_total_mass(self, tol: float = 1e-10):
-        return nb_total_mass(self.r, self.p, tol)
-
     def point_log_density(self, ys, rng: RngLike) -> float:
         return predictive_point_logdensity(self.draws, self.prior, self.kernel,
                                            ys, self.pattern, rng,
@@ -186,8 +177,7 @@ def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec
     """Assemble the predictive density, running the chain if needed."""
     r, p = predictive_count_params(prior, pattern.count, s, t)
     if draws is None:
-        draws = run_mcmc(pattern, prior, kernel, config, rng).draws \
-            if pattern.count else ()
+        draws = run_mcmc(pattern, prior, kernel, config, rng).draws
     return PredictiveDensity(r, p, prior, kernel, pattern, tuple(draws),
                              aug_replicates)
 

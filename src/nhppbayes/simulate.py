@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import TWO_PI, IntensityModel, ModelError, PointPattern, PriorSpec
+from .core import (TWO_PI, IntensityModel, ModelError, PointPattern, PriorSpec,
+                   invert_cdf)
 
 # Stick-breaking truncation default; residual mass stays below 1e-6 for
 # base masses up to about 10.
@@ -54,19 +55,6 @@ def derive_seed(*tags) -> int:
     state = np.random.SeedSequence(entropy=[int(t) & (2**64 - 1) for t in tags])
     a, b = state.generate_state(2, dtype=np.uint64)[:2]
     return int(a ^ (b << 1)) & (2**63 - 1)
-
-
-def _sample_shape_inversion(model: IntensityModel, size: int,
-                            gen: np.random.Generator,
-                            table_nodes: int = 4096) -> np.ndarray:
-    """Draw from the normalized shape via a tabulated inverse CDF."""
-    nodes, cdf = model.shape_cdf_table(table_nodes)
-    u = gen.random(size)
-    idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.clip(idx, 0, table_nodes - 1)
-    width = cdf[idx + 1] - cdf[idx]
-    frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
-    return nodes[idx] + frac * (nodes[idx + 1] - nodes[idx])
 
 
 def _sample_shape_thinning(model: IntensityModel, size: int,
@@ -129,7 +117,7 @@ def sample_nhpp(model: IntensityModel, exposure: float, rng: RngLike,
     elif method == "thinning":
         pts = _sample_shape_thinning(model, n, gen, sup_bound)
     else:
-        pts = _sample_shape_inversion(model, n, gen)
+        pts = invert_cdf(model.shape_cdf_table(), gen.random(n))
     return PointPattern(model.window, pts)
 
 
@@ -186,13 +174,7 @@ def sample_base(prior: PriorSpec, size: int, gen: np.random.Generator) -> np.nda
     window = prior.window
     if prior.uniform_base:
         return gen.uniform(window.a, window.b, size)
-    edges, cdf = prior.base_cdf_table()
-    u = gen.random(size)
-    idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.clip(idx, 0, edges.size - 2)
-    width = cdf[idx + 1] - cdf[idx]
-    frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
-    return edges[idx] + frac * (edges[idx + 1] - edges[idx])
+    return invert_cdf(prior.base_cdf_table(), gen.random(size))
 
 
 def sample_prior_intensity(prior: PriorSpec, kernel, truncation: int = STICK_DEFAULT,

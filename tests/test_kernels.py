@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nhppbayes import (KernelSpec, ModelError, Window, bessel_i0, eval_kernel,
-                       mixture_density, mixture_intensity, quadrature, validate)
+from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
+                       eval_kernel, mixture_density, mixture_intensity,
+                       quadrature, validate)
+from nhppbayes.kernels import sample_kernel_posterior
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +81,7 @@ class TestEvalKernel:
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("kappa", [0.3, 5.0])
+    @pytest.mark.parametrize("kappa", [0.3, 5.0, 800.0])
     def test_von_mises_integrates_to_one(self, kappa, circle):
         spec = KernelSpec.von_mises(kappa, circle)
         rng = np.random.default_rng(1)
@@ -92,6 +94,54 @@ class TestNormalization:
         spec = KernelSpec.gaussian(1.0, window)
         val = quadrature(lambda y: eval_kernel(spec, y, 0.5), window)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSampleKernelPosterior:
+    def test_non_uniform_base_draw_is_continuous(self, vm5, circle,
+                                                 cosine_prior):
+        # target density proportional to k(x, u) (1 + cos(u)/2); the draws
+        # must not sit on the table nodes and must match its bin masses
+        from scipy import stats
+        x = 1.0
+        gen = np.random.default_rng(3)
+        draws = np.array([sample_kernel_posterior(vm5, cosine_prior, x, gen)
+                          for _ in range(4000)])
+        nodes = circle.grid(2048)
+        assert not np.any(np.isin(draws, nodes))
+        fine = np.linspace(0.0, TWO_PI, 1 << 16, endpoint=False)
+        dens = eval_kernel(vm5, x, fine) * (1.0 + 0.5 * np.cos(fine))
+        edges = np.linspace(0.0, TWO_PI, 17)
+        masses = np.histogram(fine, bins=edges, weights=dens)[0]
+        masses /= masses.sum()
+        observed = np.histogram(draws, bins=edges)[0]
+        keep = masses * draws.size >= 5.0
+        expected = masses[keep] * draws.size
+        obs = observed[keep]
+        assert stats.chisquare(obs, expected * obs.sum() / expected.sum()
+                               ).pvalue > 0.001
+
+    def test_gaussian_truncated_draw_is_exact_and_bounded(self):
+        # uniform base on an interval: the kernel truncated to the window,
+        # drawn with a single uniform however little mass the window holds
+        from scipy import stats
+        window = Window.interval(0.0, 4.0)
+        spec = KernelSpec.gaussian(1.0, window)
+        prior = PriorSpec.uniform_unit(window)
+        gen = np.random.default_rng(5)
+        draws = np.array([sample_kernel_posterior(spec, prior, 0.2, gen)
+                          for _ in range(4000)])
+        assert np.all((draws >= 0.0) & (draws <= 4.0))
+        target = stats.truncnorm(-0.2, 3.8, loc=0.2, scale=1.0)
+        assert stats.kstest(draws, target.cdf).pvalue > 0.001
+        narrow = Window.interval(0.0, 1e-3)
+        spec = KernelSpec.gaussian(10.0, narrow)
+        gen = np.random.default_rng(6)
+        twin = np.random.default_rng(6)
+        u = sample_kernel_posterior(spec, PriorSpec.uniform_unit(narrow), 0.0,
+                                    gen)
+        twin.random()
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert 0.0 <= u <= 1e-3
 
 
 class TestMixture:

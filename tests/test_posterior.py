@@ -44,10 +44,37 @@ class TestRunMcmc:
             np.testing.assert_array_equal(da.locations, db.locations)
             np.testing.assert_array_equal(da.counts, db.counts)
 
-    def test_requires_observations(self, circle, vm5, uniform_prior):
+    def test_empty_pattern_returns_prior_state(self, circle, vm5,
+                                               uniform_prior):
+        # the empty-pattern posterior is the prior: no draws, and the
+        # generator is untouched so replication streams stay aligned
+        gen = RngStream(0).generator()
+        res = run_mcmc(PointPattern.empty(circle), uniform_prior, vm5,
+                       McmcConfig(), gen)
+        assert res.draws == ()
+        assert isinstance(res.acceptance_rate, float)
+        assert res.diagnostics == {"acceptance_rate": None,
+                                   "mean_clusters": 0.0,
+                                   "cluster_count_trace": [], "draws": 0}
+        np.testing.assert_array_equal(gen.random(4),
+                                      RngStream(0).generator().random(4))
+
+    @pytest.mark.parametrize("step", [0.0, -0.2])
+    def test_config_rejects_nonpositive_location_step(self, step):
         with pytest.raises(ModelError):
-            run_mcmc(PointPattern.empty(circle), uniform_prior, vm5,
-                     McmcConfig(), RngStream(0))
+            McmcConfig(location_step=step)
+
+    def test_large_kappa_chain_finishes(self, circle, uniform_prior):
+        # kappa = 800 overflows an unscaled exp(kappa cos d)
+        sharp = KernelSpec.von_mises(800.0, circle)
+        pattern = PointPattern(circle, [0.3, 0.31, 2.0, 4.0, 4.02])
+        cfg = McmcConfig(burn_in=50, samples=50, thin=1)
+        res = run_mcmc(pattern, uniform_prior, sharp, cfg, RngStream(7))
+        assert len(res.draws) == 50
+        for d in res.draws:
+            assert int(d.counts.sum()) == 5
+            assert np.all(np.isfinite(d.locations))
+        assert 0.0 < res.acceptance_rate <= 1.0
 
     def test_counts_sum_to_n(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.3, 1.1, 1.2, 4.0, 4.1])
@@ -113,6 +140,19 @@ class TestBasePredictive:
         exact = 1.0 + 0.5 * float(i1(5.0) / i0(5.0)) * np.cos(grid)
         np.testing.assert_allclose(base_predictive(cosine_prior, vm5, grid),
                                    exact, rtol=1e-12)
+
+    def test_gaussian_uniform_base_on_interval(self):
+        # the uniform-base shortcut (base term 1) holds only on the circle:
+        # on [0, 4] the base term is Phi((4 - y)/sigma) - Phi(-y/sigma)
+        from scipy.stats import norm
+        window = Window.interval(0.0, 4.0)
+        prior = PriorSpec.uniform_unit(window)
+        kernel = KernelSpec.gaussian(1.0, window)
+        ys = np.linspace(0.0, 4.0, 41)
+        exact = norm.cdf(4.0 - ys) - norm.cdf(-ys)
+        values = base_predictive(prior, kernel, ys)
+        np.testing.assert_allclose(values, exact, rtol=1e-6)
+        assert values[0] == pytest.approx(norm.cdf(4.0) - 0.5, rel=1e-6)
 
     def test_gaussian_non_uniform_base_on_interval(self):
         # integral over [0, 4] of N(u; y, sigma^2) (1 + u/4) du, closed form
