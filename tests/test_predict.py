@@ -3,15 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
-                       RngStream, build_predictive, nb_log_pmf, nb_total_mass,
-                       posterior_lambda_bar, predictive_count_params,
-                       predictive_log_score, predictive_point_logdensity,
-                       run_mcmc)
+from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
+                       PriorSpec, RngStream, Window, build_predictive,
+                       nb_log_pmf, nb_total_mass, posterior_lambda_bar,
+                       predictive_count_params, predictive_log_score,
+                       predictive_point_logdensity, run_mcmc)
 from nhppbayes.kernels import eval_kernel
-from nhppbayes.posterior import ClusterState
+from nhppbayes.posterior import ClusterState, base_predictive
 
 TWO_PI = 2.0 * math.pi
+
+
+def _alpha_integral(prior, kernel, ys):
+    """integral of prod_i k(y_i, u) alpha(du) over the window, by quadrature."""
+    nodes, wts = prior.window.quad_nodes(4096)
+    integrand = np.asarray(prior.base_density(nodes), dtype=float)
+    for y in ys:
+        integrand = integrand * eval_kernel(kernel, y, nodes)
+    return float(wts @ integrand)
 
 
 class TestNbLogPmf:
@@ -126,6 +135,62 @@ class TestPointLayer:
                                               [y], pattern, RngStream(75),
                                               aug_replicates=1)
         assert math.exp(log_val) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("path", ["uniform", "cosine", "gaussian"])
+    def test_two_points_one_draw_closed_form(self, path, circle, vm5,
+                                             uniform_prior, cosine_prior):
+        # M = 2 given one fixed clustering: the first point scores
+        # (b1 + S1)/(|alpha| + N), then joins cluster c with weight
+        # n_c k(y1, u_c) or opens one at u ~ k(y1, u) alpha(du), so the
+        # expected product is [(b1 + S1)(b2 + S2) + sum_c n_c k1c k2c
+        # + integral k(y1, u) k(y2, u) alpha(du)] / ((|alpha|+N)(|alpha|+N+1))
+        if path == "gaussian":
+            window = Window.interval(0.0, 4.0)
+            kernel = KernelSpec.gaussian(1.0, window)
+            prior = PriorSpec.uniform_unit(window)
+            locs, ys = [0.8, 3.1], [0.3, 1.9]
+        else:
+            window, kernel = circle, vm5
+            prior = uniform_prior if path == "uniform" else cosine_prior
+            locs, ys = [1.0, 4.0], [1.4, 2.5]
+        pattern = PointPattern(window, [locs[0], locs[0], locs[1]])
+        state = ClusterState([0, 0, 1], locs, [2, 1])
+        n_c = np.array([2.0, 1.0])
+        k1 = eval_kernel(kernel, ys[0], np.asarray(locs))
+        k2 = eval_kernel(kernel, ys[1], np.asarray(locs))
+        b1, b2 = base_predictive(prior, kernel, np.asarray(ys))
+        theta = prior.total_mass_alpha
+        exact = ((b1 + n_c @ k1) * (b2 + n_c @ k2) + n_c @ (k1 * k2)
+                 + _alpha_integral(prior, kernel, ys)) \
+            / ((theta + 3.0) * (theta + 4.0))
+        values = np.array([math.exp(predictive_point_logdensity(
+            (state,), prior, kernel, ys, pattern, RngStream(76, i),
+            aug_replicates=8)) for i in range(2000)])
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - exact) < 4 * se
+
+    def test_three_points_empty_pattern_partition_sum(self, circle, vm5,
+                                                      uniform_prior):
+        # empty pattern, M = 3: the joint density is the sum over the five
+        # partitions of the CRP probability times, per block B, the prior
+        # mixture integral of prod_{i in B} k(y_i, u) du / 2 pi
+        ys = [1.0, 1.3, 4.0]
+        theta = uniform_prior.total_mass_alpha
+
+        def block(*idx):
+            return _alpha_integral(uniform_prior, vm5,
+                                   [ys[i] for i in idx]) / theta
+
+        singles = block(0) * block(1) * block(2)
+        pairs = (block(0, 1) * block(2) + block(0, 2) * block(1)
+                 + block(1, 2) * block(0))
+        exact = (theta ** 2 * singles + theta * pairs
+                 + 2.0 * block(0, 1, 2)) / ((theta + 1.0) * (theta + 2.0))
+        values = np.array([math.exp(predictive_point_logdensity(
+            (), uniform_prior, vm5, ys, PointPattern.empty(circle),
+            RngStream(77, i), aug_replicates=8)) for i in range(6000)])
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - exact) < 4 * se
 
     def test_point_layer_free_of_gamma_and_beta(self, circle, vm5):
         # the point layer reads only the base measure, so members of the
