@@ -15,9 +15,9 @@ any concentration.
 The Gaussian kernel is a density on all of R; on a bounded interval window
 it is used without truncation renormalization, so a small amount of mass can
 leak outside the window when atoms sit near the boundary.  Model validation
-flags leakage beyond the integration tolerance, and the base-measure term of
-the posterior (``posterior.base_predictive``) integrates the kernel over the
-window only.
+flags leakage beyond the integration tolerance, the simulator drops the points
+that land outside, and the base-measure term of the posterior
+(``posterior.base_predictive``) integrates the kernel over the window only.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -35,6 +35,7 @@ from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
                    invert_cdf)
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
+_TABLE_NODES = 2048  # table cells of a non-uniform-base posterior draw
 
 
 def bessel_i0(kappa: float) -> float:
@@ -165,21 +166,21 @@ def member_stats(spec: KernelSpec, x: float):
 
 
 def sample_kernel_posterior(spec: KernelSpec, prior, x: float, gen,
-                            table_nodes: int = 2048) -> float:
-    """Draw a location u from the density proportional to k(x, u) alpha(u).
+                            size: int) -> np.ndarray:
+    """``size`` draws of u from the density proportional to k(x, u) alpha(u).
 
     With a uniform base this is the kernel centered at x, truncated to the
     window for the Gaussian (an exact inverse-normal-CDF draw between the
-    window edges); otherwise a tabulated inverse-CDF draw on the window.
-    Each path consumes one draw from the generator.
+    window edges); otherwise a tabulated inverse-CDF draw from one table on
+    the window.  The Gaussian and tabulated paths take one uniform per draw.
     """
     window = spec.window
     if not prior.uniform_base:
         table = cdf_table(window, lambda u: eval_kernel(spec, x, u)
-                          * np.asarray(prior.base_density(u)), table_nodes)
-        return float(invert_cdf(table, gen.random()))
+                          * np.asarray(prior.base_density(u)), _TABLE_NODES)
+        return invert_cdf(table, gen.random(size))
     if spec.kind == "von_mises":
-        return float(np.mod(gen.vonmises(x, spec.kappa), TWO_PI))
+        return np.mod(gen.vonmises(x, spec.kappa, size), TWO_PI)
     lo, hi = special.ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
-    u = x + spec.sigma * float(special.ndtri(lo + gen.random() * (hi - lo)))
-    return min(max(u, window.a), window.b)
+    u = x + spec.sigma * special.ndtri(lo + gen.random(size) * (hi - lo))
+    return np.clip(u, window.a, window.b)

@@ -281,8 +281,8 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     return McmcResult(tuple(draws), rate, np.asarray(count_trace, dtype=np.int64))
 
 
-def base_predictive(prior: PriorSpec, kernel: KernelSpec, grid: np.ndarray,
-                    n_quad: int = 4096) -> np.ndarray:
+def base_predictive(prior: PriorSpec, kernel: KernelSpec,
+                    grid: np.ndarray) -> np.ndarray:
     """integral of k(y, u) alpha(du) at the points of ``grid``.
 
     For the uniform unit base on the circle this is identically 1 (the kernel
@@ -293,7 +293,7 @@ def base_predictive(prior: PriorSpec, kernel: KernelSpec, grid: np.ndarray,
     if prior.uniform_base and prior.window.is_circle \
             and abs(prior.total_mass_alpha - prior.window.length) < 1e-12:
         return np.ones(grid.size)
-    nodes, weights = prior.window.quad_nodes(n_quad)
+    nodes, weights = prior.window.quad_nodes()
     dens = np.asarray(prior.base_density(nodes), dtype=float) * weights
     out = np.empty(grid.size)
     step = max(1, 2_000_000 // max(nodes.size, 1))

@@ -14,6 +14,11 @@ previously absorbed future points, and the cluster state is augmented by
 sampling the point's assignment.  The product is exact in expectation per
 posterior draw; averaging across draws (and a few augmentation replicates
 per draw) gives the estimate.
+
+The point layer keeps one row per (draw, replicate) pair, rows
+i*aug .. (i+1)*aug starting from draw i, and takes one array pass over all
+rows per future point.  The augmentation stream is drawn point by point: one
+uniform per row, then the new clusters' locations in one call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import ModelError, PointPattern, PriorSpec
-from .kernels import KernelSpec, sample_kernel_posterior
+from .kernels import KernelSpec, eval_kernel, sample_kernel_posterior
 from .posterior import ClusterState, McmcConfig, base_predictive, run_mcmc
 from .simulate import RngLike, as_generator
 
@@ -81,69 +86,43 @@ def predictive_point_logdensity(draws: Sequence[ClusterState], prior: PriorSpec,
     0.0 for an empty future (the empty product).
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if ys.size == 0:
-        return 0.0
     gen = as_generator(rng)
-    theta = prior.total_mass_alpha
-    n_obs = pattern.count
-    states = list(draws) if len(draws) else [None]
+    # rows zero-padded to K_max + M columns, of which row r occupies used[r]
+    sizes = np.array([d.n_clusters for d in draws] or [0], dtype=np.intp)
+    filled = np.arange(int(sizes.max()) + ys.size) < sizes[:, None]
+    locs, counts = np.zeros(filled.shape), np.zeros(filled.shape)
+    locs[filled] = np.concatenate([np.empty(0)] + [d.locations for d in draws])
+    counts[filled] = np.concatenate([np.empty(0)] + [d.counts for d in draws])
+    locs = np.repeat(locs, aug_replicates, axis=0)
+    counts = np.repeat(counts, aug_replicates, axis=0)
+    used = np.repeat(sizes, aug_replicates)
+    rows = used.size
 
-    # integral of k(y_j, u) alpha(du) for each future point, as floats for
-    # the scalar loop below
-    base_vals = base_predictive(prior, kernel, ys).tolist()
+    base = base_predictive(prior, kernel, ys)
+    denom = prior.total_mass_alpha + pattern.count
+    log_prod = np.zeros(rows)
+    for j, y in enumerate(ys):
+        width = max(int(used.max()), 1)
+        cum = counts[:, :width] * eval_kernel(kernel, y, locs[:, :width])
+        np.cumsum(cum, axis=1, out=cum)
+        numer = base[j] + cum[:, -1]
+        log_prod += np.log(numer / denom)
+        # absorb y into every row by sampling its assignment: a new cluster
+        # with weight base[j], else the first column whose cumulative weight
+        # exceeds the pick (the last occupied one if rounding leaves none)
+        pick = gen.random(rows) * numer - base[j]
+        new = pick < 0
+        join = np.minimum((cum <= pick[:, None]).sum(axis=1), used - 1)
+        counts[np.flatnonzero(~new), join[~new]] += 1.0
+        r = np.flatnonzero(new)
+        locs[r, used[r]] = sample_kernel_posterior(kernel, prior, y, gen,
+                                                   r.size)
+        counts[r, used[r]] = 1.0
+        used[r] += 1
+        denom += 1.0
 
-    exp, log, cos = math.exp, math.log, math.cos
-    if kernel.kind == "von_mises":
-        kap, norm = kernel.kappa, kernel.log_norm
-
-        def kval(y, u):
-            return exp(kap * cos(y - u) - norm)
-    else:
-        inv2s2, norm = 0.5 / kernel.sigma ** 2, kernel.log_norm
-
-        def kval(y, u):
-            d = y - u
-            return exp(-d * d * inv2s2 - norm)
-
-    y_list = [float(v) for v in ys]
-    log_products = []
-    for state in states:
-        for _ in range(aug_replicates):
-            if state is None:
-                locs, counts = [], []
-            else:
-                locs = [float(v) for v in state.locations]
-                counts = [int(v) for v in state.counts]
-            denom = theta + n_obs
-            log_prod = 0.0
-            for j, y in enumerate(y_list):
-                kvals = [kval(y, u) for u in locs]
-                cluster_sum = 0.0
-                for c in range(len(locs)):
-                    cluster_sum += counts[c] * kvals[c]
-                numer = base_vals[j] + cluster_sum
-                log_prod += log(numer / denom)
-                # absorb y into the state by sampling its assignment
-                pick = gen.random() * numer
-                if pick < base_vals[j] or not locs:
-                    locs.append(sample_kernel_posterior(kernel, prior, y, gen))
-                    counts.append(1)
-                else:
-                    pick -= base_vals[j]
-                    acc = 0.0
-                    for c in range(len(locs)):
-                        acc += counts[c] * kvals[c]
-                        if pick < acc:
-                            counts[c] += 1
-                            break
-                    else:
-                        counts[-1] += 1
-                denom += 1.0
-            log_products.append(log_prod)
-
-    arr = np.asarray(log_products)
-    peak = float(np.max(arr))
-    return peak + math.log(float(np.mean(np.exp(arr - peak))))
+    peak = float(np.max(log_prod))
+    return peak + math.log(float(np.mean(np.exp(log_prod - peak))))
 
 
 @dataclass(frozen=True)

@@ -85,16 +85,11 @@ def _sample_mixture_points(model: IntensityModel, size: int,
     if spec.kind == "von_mises":
         return np.mod(gen.vonmises(centers, spec.kappa), TWO_PI)
     pts = gen.normal(centers, spec.sigma)
-    # Gaussian kernels leak outside interval windows; resample strays so the
-    # pattern stays inside.  Leakage above the mass tolerance is a modeling
-    # error that validate() reports.
+    # Gaussian kernels leak outside interval windows; points that land
+    # outside are dropped, so the pattern is the mixture process restricted
+    # to the window.
     window = model.window
-    for _ in range(1000):
-        bad = (pts < window.a) | (pts > window.b)
-        if not np.any(bad):
-            return pts
-        pts[bad] = gen.normal(centers[bad], spec.sigma)
-    raise ModelError("mixture leaks too much mass outside the window to sample")
+    return pts[(pts >= window.a) & (pts <= window.b)]
 
 
 def sample_nhpp(model: IntensityModel, exposure: float, rng: RngLike,
@@ -102,7 +97,9 @@ def sample_nhpp(model: IntensityModel, exposure: float, rng: RngLike,
     """Sample one realization with intensity exposure * lambda.
 
     The count is Poisson(exposure * w); given the count, locations are i.i.d.
-    draws from the normalized shape.  Closed-form intensities use tabulated
+    draws from the normalized shape.  A Gaussian mixture on an interval
+    drops the points that fall outside the window, so its count is Poisson
+    in the mass inside the window.  Closed-form intensities use tabulated
     inverse-CDF sampling by default, or thinning when requested (the
     acceptance bound defaults to the grid supremum times 1.001).
     """

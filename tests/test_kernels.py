@@ -104,8 +104,7 @@ class TestSampleKernelPosterior:
         from scipy import stats
         x = 1.0
         gen = np.random.default_rng(3)
-        draws = np.array([sample_kernel_posterior(vm5, cosine_prior, x, gen)
-                          for _ in range(4000)])
+        draws = sample_kernel_posterior(vm5, cosine_prior, x, gen, 4000)
         nodes = circle.grid(2048)
         assert not np.any(np.isin(draws, nodes))
         fine = np.linspace(0.0, TWO_PI, 1 << 16, endpoint=False)
@@ -128,8 +127,7 @@ class TestSampleKernelPosterior:
         spec = KernelSpec.gaussian(1.0, window)
         prior = PriorSpec.uniform_unit(window)
         gen = np.random.default_rng(5)
-        draws = np.array([sample_kernel_posterior(spec, prior, 0.2, gen)
-                          for _ in range(4000)])
+        draws = sample_kernel_posterior(spec, prior, 0.2, gen, 4000)
         assert np.all((draws >= 0.0) & (draws <= 4.0))
         target = stats.truncnorm(-0.2, 3.8, loc=0.2, scale=1.0)
         assert stats.kstest(draws, target.cdf).pvalue > 0.001
@@ -138,10 +136,10 @@ class TestSampleKernelPosterior:
         gen = np.random.default_rng(6)
         twin = np.random.default_rng(6)
         u = sample_kernel_posterior(spec, PriorSpec.uniform_unit(narrow), 0.0,
-                                    gen)
+                                    gen, 1)
         twin.random()
         assert gen.bit_generator.state == twin.bit_generator.state
-        assert 0.0 <= u <= 1e-3
+        assert u.shape == (1,) and 0.0 <= u[0] <= 1e-3
 
 
 class TestMixture:

@@ -8,7 +8,7 @@ from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        nb_log_pmf, nb_total_mass, posterior_lambda_bar,
                        predictive_count_params, predictive_log_score,
                        predictive_point_logdensity, run_mcmc)
-from nhppbayes.kernels import eval_kernel
+from nhppbayes.kernels import eval_kernel, sample_kernel_posterior
 from nhppbayes.posterior import ClusterState, base_predictive
 
 TWO_PI = 2.0 * math.pi
@@ -21,6 +21,44 @@ def _alpha_integral(prior, kernel, ys):
     for y in ys:
         integrand = integrand * eval_kernel(kernel, y, nodes)
     return float(wts @ integrand)
+
+
+def _loop_point_logdensity(draws, prior, kernel, ys, pattern, gen, aug):
+    """The point layer as scalar loops over rows and clusters.
+
+    It draws the stream in the array version's order: per future point, one
+    uniform per row, then the locations of the clusters that point opens.
+    """
+    states = [([*d.locations], [*d.counts]) for d in draws for _ in range(aug)]
+    states = states or [([], []) for _ in range(aug)]
+    base = base_predictive(prior, kernel, np.asarray(ys))
+    denom = prior.total_mass_alpha + pattern.count
+    log_prod = np.zeros(len(states))
+    for j, y in enumerate(ys):
+        picks = gen.random(len(states))
+        opened = []
+        for r, (locs, counts) in enumerate(states):
+            w = [n * float(eval_kernel(kernel, y, u))
+                 for u, n in zip(locs, counts)]
+            numer = base[j] + sum(w)
+            log_prod[r] += math.log(numer / denom)
+            pick = picks[r] * numer - base[j]
+            if pick < 0:
+                opened.append(r)
+                continue
+            acc, c = 0.0, 0
+            for c, wc in enumerate(w):
+                acc += wc
+                if pick < acc:
+                    break
+            counts[c] += 1
+        new = sample_kernel_posterior(kernel, prior, y, gen, len(opened))
+        for r, u in zip(opened, new):
+            states[r][0].append(u)
+            states[r][1].append(1)
+        denom += 1.0
+    peak = log_prod.max()
+    return peak + math.log(np.mean(np.exp(log_prod - peak)))
 
 
 class TestNbLogPmf:
@@ -191,6 +229,30 @@ class TestPointLayer:
             RngStream(77, i), aug_replicates=8)) for i in range(6000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
+
+    @pytest.mark.parametrize("path", ["uniform", "cosine", "gaussian",
+                                      "empty"])
+    def test_matches_scalar_loop_reference(self, path, circle, vm5,
+                                           uniform_prior, cosine_prior):
+        # same stream, same arithmetic order: the padded-array bookkeeping
+        # (rows, used columns, joins, new clusters) equals plain loops
+        if path == "gaussian":
+            window = Window.interval(0.0, 4.0)
+            kernel = KernelSpec.gaussian(0.5, window)
+            prior = PriorSpec.uniform_unit(window)
+        else:
+            window, kernel = circle, vm5
+            prior = cosine_prior if path == "cosine" else uniform_prior
+        xs = [] if path == "empty" else [0.3, 0.4, 1.9, 2.1, 2.2, 3.5]
+        pattern = PointPattern(window, xs)
+        cfg = McmcConfig(burn_in=20, samples=6, thin=3)
+        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(78)).draws
+        ys = [0.35, 2.0, 3.9, 0.5, 2.05, 1.0]
+        fast = predictive_point_logdensity(draws, prior, kernel, ys, pattern,
+                                           RngStream(79), aug_replicates=3)
+        slow = _loop_point_logdensity(draws, prior, kernel, ys, pattern,
+                                      RngStream(79).generator(), 3)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
     def test_point_layer_free_of_gamma_and_beta(self, circle, vm5):
         # the point layer reads only the base measure, so members of the

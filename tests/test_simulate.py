@@ -122,6 +122,22 @@ class TestSampleNhpp:
         pattern = sample_nhpp(model, 2.0, RngStream(23))
         assert np.all((pattern.points >= -8.0) & (pattern.points <= 8.0))
 
+    def test_interval_count_is_window_mass(self):
+        # an atom at the edge of [0, 4] leaks half its mass: the pattern is
+        # the mixture process restricted to the window, so strays are dropped
+        # and the mean count is the window mass, not the atom weight
+        from nhppbayes import KernelSpec, Window, quadrature
+        window = Window.interval(0.0, 4.0)
+        model = mixture_intensity(KernelSpec.gaussian(1.0, window), [0.0],
+                                  [10.0])
+        gen = RngStream(24).generator()
+        counts = np.array([sample_nhpp(model, 1.0, gen).count
+                           for _ in range(2000)])
+        mass = quadrature(model, window)
+        assert mass == pytest.approx(5.0, abs=1e-3)
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - mass) < 4 * se
+
 
 class TestSampleBase:
     def test_non_uniform_base_bin_masses(self, cosine_prior):
