@@ -104,12 +104,18 @@ class KernelSpec:
 
 def eval_kernel(spec: KernelSpec, y, u):
     """Kernel density k(y, u); symmetric in its arguments, broadcasting."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
+    # in place: on the posterior-mean grids temporaries cost more than math
+    out = np.asarray(np.subtract(y, u, dtype=float))
     if spec.kind == "von_mises":
-        return np.exp(spec.kappa * np.cos(y - u) - spec.log_norm)
-    d = y - u
-    return np.exp(-0.5 * (d / spec.sigma) ** 2 - spec.log_norm)
+        np.cos(out, out=out)
+        out *= spec.kappa
+    else:
+        out /= spec.sigma
+        out *= out
+        out *= -0.5
+    out -= spec.log_norm
+    np.exp(out, out=out)
+    return out if out.ndim else out[()]
 
 
 def mixture_density(spec: KernelSpec, locations, weights, y):

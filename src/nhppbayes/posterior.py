@@ -19,6 +19,7 @@ differ only by their closed-form weight factor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,7 +42,7 @@ class ClusterState:
         a = np.asarray(self.assignments, dtype=np.int64)
         l = np.asarray(self.locations, dtype=float)
         c = np.asarray(self.counts, dtype=np.int64)
-        if int(np.sum(c)) != a.size:
+        if int(c.sum()) != a.size:
             raise ModelError("cluster member counts must sum to the sample size")
         if l.shape != c.shape:
             raise ModelError("locations and counts must align")
@@ -146,12 +147,10 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     von_mises = kernel.kind == "von_mises"
     if von_mises:
         kap = kernel.kappa
-        inv2s2 = 0.0
 
         def refresh_delta(u, up, s0, s1, n):
             return kap * (s0 * (cos(up) - cos(u)) + s1 * (sin(up) - sin(u)))
     else:
-        kap = 0.0
         inv2s2 = 0.5 / (kernel.sigma * kernel.sigma)
 
         def refresh_delta(u, up, s0, s1, n):
@@ -223,11 +222,9 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
                     total += aux_w * exp(-d * d * inv2s2)
                     edge_append(total)
 
-            r = cat_u[i] * total
-            pick = 0
-            for pick, edge in enumerate(cumulative):
-                if r < edge:
-                    break
+            # the first edge above the draw (the last if rounding leaves none)
+            pick = min(bisect_right(cumulative, cat_u[i] * total),
+                       len(cumulative) - 1)
             n_active = len(active)
             if pick < n_active:
                 sid = active[pick]
@@ -272,7 +269,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
             next_keep += config.thin
             rank = {sid: r for r, sid in enumerate(active)}
             draws.append(ClusterState(
-                np.fromiter((rank[a] for a in assign), dtype=np.int64, count=n_obs),
+                np.array([rank[a] for a in assign], dtype=np.int64),
                 np.asarray([locs[sid] for sid in active]),
                 np.asarray([counts[sid] for sid in active], dtype=np.int64)))
             count_trace.append(k_active)
