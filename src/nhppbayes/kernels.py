@@ -12,6 +12,21 @@ The von Mises normalizer is kept in log form, kappa + log(2 pi i0e(kappa)),
 with scipy's exponentially scaled Bessel function, so it stays finite for
 any concentration.
 
+A von Mises mixture also has a Fourier series (Abramowitz & Stegun 9.6.34),
+
+    sum_j m_j k(y, u_j) = (W + 2 sum_n rho_n (C_n cos ny + S_n sin ny)) / 2 pi,
+
+with W = sum_j m_j, rho_n = I_n(kappa) / I0(kappa) and the trig moments
+C_n, S_n = sum_j m_j (cos n u_j, sin n u_j).  Each spec keeps the rho_n down
+to 1e-17 (about 25 terms at kappa = 5, 250 at kappa = 800), and
+``mixture_series`` evaluates the truncated series on any set of points in
+(atoms + points) x terms work instead of atoms x points.  Its absolute error
+is about 1e-16 W, so a bare series can dip below zero in the tails once
+kappa is large; the posterior-mean shape uses it because its positive base
+term bounds the relative error, while ``mixture_density`` (and so every
+``mixture_intensity``, which the divergences need strictly positive) keeps
+the direct sum.  Gaussian mixtures are always summed directly.
+
 The Gaussian kernel is a density on all of R; on a bounded interval window
 it is used without truncation renormalization, so a small amount of mass can
 leak outside the window when atoms sit near the boundary.  Model validation
@@ -36,6 +51,8 @@ from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 _TABLE_NODES = 2048  # table cells of a non-uniform-base posterior draw
+_SERIES_TOL = 1e-17  # smallest Bessel ratio I_n / I0 the series keeps
+_CHUNK = 4_000_000  # elements of one (points x atoms) or (terms x atoms) block
 
 
 def bessel_i0(kappa: float) -> float:
@@ -43,6 +60,20 @@ def bessel_i0(kappa: float) -> float:
     if kappa < 0:
         raise ModelError("bessel_i0 requires kappa >= 0")
     return float(special.i0(kappa))
+
+
+def _bessel_ratios(kappa: float, i0e: float) -> np.ndarray:
+    """rho_n = I_n(kappa) / I0(kappa) for n = 1, 2, ... while >= 1e-17.
+
+    The ratios fall with n, so the kept terms are a prefix.
+    """
+    n = 32
+    while special.ive(n, kappa) >= _SERIES_TOL * i0e:
+        n *= 2
+    rho = special.ive(np.arange(1, n), kappa) / i0e
+    rho = rho[rho >= _SERIES_TOL]
+    rho.flags.writeable = False
+    return rho
 
 
 @dataclass(frozen=True)
@@ -65,8 +96,10 @@ class KernelSpec:
             if self.kappa is None or self.kappa < 0:
                 raise ModelError("von Mises kernel needs kappa >= 0")
             # log(2 pi I0(kappa)) through the scaled i0e, finite for any kappa
-            object.__setattr__(self, "_log_norm", self.kappa + math.log(
-                TWO_PI * float(special.i0e(self.kappa))))
+            i0e = float(special.i0e(self.kappa))
+            object.__setattr__(self, "_log_norm",
+                               self.kappa + math.log(TWO_PI * i0e))
+            object.__setattr__(self, "_rho", _bessel_ratios(self.kappa, i0e))
         elif self.kind == "gaussian":
             if self.window.is_circle:
                 raise ModelError("Gaussian kernel requires an interval window")
@@ -132,11 +165,43 @@ def mixture_density(spec: KernelSpec, locations, weights, y):
     y = np.asarray(y, dtype=float)
     flat = np.atleast_1d(y).ravel()
     out = np.zeros(flat.size)
-    step = max(1, 4_000_000 // max(flat.size, 1))
+    step = max(1, _CHUNK // max(flat.size, 1))
     for lo in range(0, locs.size, step):
         hi = lo + step
         out += eval_kernel(spec, flat[:, None], locs[None, lo:hi]) @ wts[lo:hi]
     return out.reshape(y.shape) if y.shape else float(out[0])
+
+
+def mixture_series(spec: KernelSpec, locations, weights, y) -> np.ndarray:
+    """sum_j m_j k(y, u_j) at the 1-D points y, for the von Mises kernel,
+    from its truncated Fourier series.
+
+    Accurate to about 1e-16 * sum(m) in absolute terms, so not positive
+    everywhere (see the module notes).  The powers e^{inx} come from a
+    running product, not from cos/sin of n x; both the atom and the point
+    axis are chunked so no block exceeds the direct path's.
+    """
+    locs = np.asarray(locations, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rho = spec._rho
+    step = max(1, _CHUNK // max(2 * rho.size, 1))  # complex: two floats each
+    moments = np.zeros(rho.size, dtype=complex)
+    for lo in range(0, locs.size, step):
+        hi = lo + step
+        moments += _trig_powers(locs[lo:hi], rho.size) @ wts[lo:hi]
+    coef = 2.0 * rho * moments.conj()
+    out = np.full(y.size, float(wts.sum()))
+    for lo in range(0, y.size, step):
+        hi = lo + step
+        out[lo:hi] += (coef @ _trig_powers(y[lo:hi], rho.size)).real
+    out /= TWO_PI
+    return out
+
+
+def _trig_powers(x: np.ndarray, terms: int) -> np.ndarray:
+    """e^{inx} for n = 1 .. terms, one row per n."""
+    return np.cumprod(np.broadcast_to(np.exp(1j * x), (terms, x.size)), axis=0)
 
 
 def mixture_intensity(spec: KernelSpec, locations, weights) -> IntensityModel:

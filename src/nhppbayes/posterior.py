@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
-from .kernels import KernelSpec, eval_kernel, member_stats, mixture_density
+from .kernels import (KernelSpec, eval_kernel, member_stats, mixture_density,
+                      mixture_series)
 from .simulate import RngLike, as_generator, sample_base
 
 
@@ -307,7 +308,9 @@ def posterior_lambda_bar(draws: Sequence[ClusterState], prior: PriorSpec,
 
     Each draw contributes (base-measure predictive + sum_c n_c k(y, u_c))
     normalized by |alpha| + N; the result averages the draws.  An empty draw
-    sequence gives the prior predictive (the N = 0 posterior).
+    sequence gives the prior predictive (the N = 0 posterior).  On the circle
+    the cluster term comes from the kernel's Fourier series, whose error the
+    positive base term keeps small relative to the result.
     """
     window = prior.window
     if grid is None:
@@ -320,7 +323,8 @@ def posterior_lambda_bar(draws: Sequence[ClusterState], prior: PriorSpec,
     n_obs = draws[0].n_observations
     all_locs = np.concatenate([d.locations for d in draws])
     all_counts = np.concatenate([d.counts for d in draws]).astype(float)
-    values = mixture_density(kernel, all_locs, all_counts, grid)
+    mixture = mixture_series if kernel.kind == "von_mises" else mixture_density
+    values = mixture(kernel, all_locs, all_counts, grid)
     values = (values / len(draws) + base_pred) / (theta + n_obs)
     return GridDensity(window, grid, values)
 

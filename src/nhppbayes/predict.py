@@ -37,23 +37,33 @@ from .simulate import RngLike, as_generator
 
 
 def nb_log_pmf(r: float, p: float, m: int) -> float:
-    """Negative binomial log pmf: Gamma(m+r)/(m! Gamma(r)) p^m (1-p)^r."""
+    """Negative binomial log pmf: Gamma(m+r)/(m! Gamma(r)) p^m (1-p)^r.
+
+    The Gamma ratio is skipped at m = 0, where it is 1 but gammaln(r) is
+    infinite for subnormal r.
+    """
     if not r > 0 or not 0.0 < p < 1.0 or m < 0:
         raise ModelError("need r > 0, 0 < p < 1, m >= 0")
-    return float(gammaln(m + r) - gammaln(m + 1) - gammaln(r)
-                 + m * math.log(p) + r * math.log1p(-p))
+    log_coef = gammaln(m + r) - gammaln(m + 1) - gammaln(r) if m else 0.0
+    return float(log_coef + m * math.log(p) + r * math.log1p(-p))
 
 
 def nb_total_mass(r: float, p: float, tol: float = 1e-10):
-    """Truncated pmf sum with a certified geometric tail bound below tol."""
+    """Truncated pmf sum with a certified geometric tail bound below tol.
+
+    The pmf ratio p (m + r) / (m + 1) falls with m when r >= 1 and rises
+    towards p when r < 1, so the current ratio bounds every later one in the
+    first case and p does in the second.
+    """
     total = 0.0
     m = 0
     pmf = math.exp(nb_log_pmf(r, p, 0))
     while True:
         total += pmf
         ratio = p * (m + r) / (m + 1)
-        if ratio < 1.0:
-            tail = pmf * ratio / (1.0 - ratio)
+        bound = ratio if r >= 1.0 else p
+        if bound < 1.0:
+            tail = pmf * bound / (1.0 - bound)
             if tail < tol:
                 return total, tail
         pmf *= ratio

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0e, ive
 
 from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
                        eval_kernel, mixture_density, mixture_intensity,
                        quadrature, validate)
-from nhppbayes.kernels import sample_kernel_posterior
+from nhppbayes.kernels import mixture_series, sample_kernel_posterior
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,6 +179,28 @@ class TestMixture:
     def test_empty_mixture_rejected(self, vm5):
         with pytest.raises(ModelError):
             mixture_density(vm5, [], [], 1.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0])
+    def test_series_matches_direct_sum(self, circle, kappa):
+        # the truncated series is exact up to rounding of order 1e-16 * W;
+        # the points are off the grid and outside [0, 2 pi)
+        spec = KernelSpec.von_mises(kappa, circle)
+        rng = np.random.default_rng(3)
+        locs = rng.uniform(0.0, TWO_PI, 200)
+        wts = rng.uniform(0.5, 3.0, 200)
+        y = rng.uniform(-10.0, 10.0, 99)
+        series = mixture_series(spec, locs, wts, y)
+        np.testing.assert_allclose(series, mixture_density(spec, locs, wts, y),
+                                   rtol=0, atol=1e-13 * wts.sum())
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0, 1e4])
+    def test_series_keeps_ratios_down_to_tolerance(self, kappa):
+        rho = KernelSpec.von_mises(kappa)._rho
+        n = rho.size
+        assert np.all(rho >= 1e-17) and np.all(np.diff(rho) <= 0)
+        assert ive(n + 1, kappa) / i0e(kappa) < 1e-17
+        np.testing.assert_allclose(rho, ive(np.arange(1, n + 1), kappa)
+                                   / i0e(kappa), rtol=1e-14)
 
 
 class TestSerialization:

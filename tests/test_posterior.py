@@ -7,8 +7,8 @@ from conftest import batch_se
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        RngStream, Window, estimate_intensity, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
-from nhppbayes.kernels import KernelSpec, eval_kernel
-from nhppbayes.posterior import base_predictive
+from nhppbayes.kernels import KernelSpec, eval_kernel, mixture_density
+from nhppbayes.posterior import ClusterState, base_predictive
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,6 +207,44 @@ class TestPosteriorLambdaBar:
         grand = chains.mean(axis=0)
         se = chains.std(axis=0, ddof=1) / math.sqrt(chains.shape[0])
         assert np.all(np.abs(grand - oracle) < 3 * se)
+
+
+def fixed_draws(locations_per_draw, n_obs):
+    """Draws with the given cluster locations and near-equal cluster sizes."""
+    draws = []
+    for locs in locations_per_draw:
+        counts = np.diff(np.linspace(0, n_obs, len(locs) + 1).round()).astype(int)
+        draws.append(ClusterState(np.repeat(np.arange(len(locs)), counts),
+                                  np.asarray(locs, dtype=float), counts))
+    return draws
+
+
+class TestLambdaBarSeries:
+    """The circle's series path against the direct kernel sum it replaces."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0])
+    @pytest.mark.parametrize("base", ["uniform", "cosine"])
+    @pytest.mark.parametrize("atoms", ["spread", "one_location"])
+    @pytest.mark.parametrize("grid_size", [64, 512, 1024])
+    def test_matches_direct_sum(self, circle, uniform_prior, cosine_prior,
+                                kappa, base, atoms, grid_size):
+        kernel = KernelSpec.von_mises(kappa, circle)
+        prior = uniform_prior if base == "uniform" else cosine_prior
+        grid = circle.grid(grid_size)
+        rng = np.random.default_rng(17)
+        if atoms == "spread":
+            locs = [rng.uniform(0.0, TWO_PI, k) for k in (1, 7, 30)]
+        else:
+            locs = [np.full(k, 2.5) for k in (1, 7, 30)]
+        draws = fixed_draws(locs, 30)
+        series = posterior_lambda_bar(draws, prior, kernel, grid).values
+        mixture = mixture_density(kernel, np.concatenate(locs),
+                                  np.concatenate([d.counts for d in draws]),
+                                  grid)
+        direct = ((mixture / len(draws) + base_predictive(prior, kernel, grid))
+                  / (prior.total_mass_alpha + 30))
+        assert np.all(series > 0)
+        np.testing.assert_allclose(series, direct, rtol=1e-10, atol=0)
 
 
 class TestEstimateIntensity:

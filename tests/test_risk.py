@@ -255,6 +255,32 @@ class TestPredictiveRiskMc:
         assert entry.estimate > -3 * entry.std_error
 
 
+class TestReplicationStreams:
+    """Replication r reads only stream ``rng.stream_id + r``, so any block
+    of replications can run on its own (in another process, say) and give
+    the same losses bit for bit as the serial run."""
+
+    def test_estimation_block_matches_serial_run(self, sine2, vm5,
+                                                 uniform_prior):
+        cfg = McmcConfig(burn_in=30, samples=20, thin=1)
+        serial = estimation_risk_mc(sine2, uniform_prior, vm5, 1.0, 4, cfg,
+                                    RngStream(85, 0), grid_size=256)
+        block = estimation_risk_mc(sine2, uniform_prior, vm5, 1.0, 2, cfg,
+                                   RngStream(85, 2), grid_size=256)
+        np.testing.assert_array_equal(serial.entries[0].losses[2:],
+                                      block.entries[0].losses)
+
+    def test_predictive_block_matches_serial_run(self, sine2, vm5,
+                                                 uniform_prior):
+        cfg = McmcConfig(burn_in=30, samples=20, thin=1)
+        serial = predictive_risk_mc(sine2, uniform_prior, vm5, 1.0, 1.0, 4,
+                                    cfg, RngStream(86, 0), aug_replicates=2)
+        block = predictive_risk_mc(sine2, uniform_prior, vm5, 1.0, 1.0, 2,
+                                   cfg, RngStream(86, 2), aug_replicates=2)
+        np.testing.assert_array_equal(serial.entries[0].losses[2:],
+                                      block.entries[0].losses)
+
+
 class TestIntegralRepresentation:
     def test_smoke_consistency(self, sine2, vm5, circle):
         prior = PriorSpec.uniform_unit(circle, gamma=TWO_PI - 1.0)
