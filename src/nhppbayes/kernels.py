@@ -9,8 +9,10 @@ and the Gaussian kernel on the real line,
     k(y, u) = exp(-(y - u)^2 / (2 sigma^2)) / sqrt(2 pi sigma^2).
 
 The von Mises normalizer is kept in log form, kappa + log(2 pi i0e(kappa)),
-with scipy's exponentially scaled Bessel function, so it stays finite for
-any concentration.
+with the exponentially scaled i0e(kappa) = exp(-kappa) I0(kappa), so it stays
+finite for any concentration.  The Bessel ratios rho_n = I_n(kappa) / I0(kappa)
+come from the backward recurrence of Gautschi (1967, SIAM Rev. 9:24), and
+i0e from them through the series below at y = u, so neither needs scipy.
 
 A von Mises mixture also has a Fourier series (Abramowitz & Stegun 9.6.34),
 
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
                    invert_cdf)
@@ -56,24 +57,42 @@ _CHUNK = 4_000_000  # elements of one (points x atoms) or (terms x atoms) block
 
 
 def bessel_i0(kappa: float) -> float:
-    """Modified Bessel function of the first kind, order zero (scipy's i0)."""
-    if kappa < 0:
-        raise ModelError("bessel_i0 requires kappa >= 0")
-    return float(special.i0(kappa))
+    """Modified Bessel function of the first kind, order zero.
 
-
-def _bessel_ratios(kappa: float, i0e: float) -> np.ndarray:
-    """rho_n = I_n(kappa) / I0(kappa) for n = 1, 2, ... while >= 1e-17.
-
-    The ratios fall with n, so the kept terms are a prefix.
+    Returns inf, without raising, where I0 overflows (kappa above 713.98).
     """
-    n = 32
-    while special.ive(n, kappa) >= _SERIES_TOL * i0e:
-        n *= 2
-    rho = special.ive(np.arange(1, n), kappa) / i0e
-    rho = rho[rho >= _SERIES_TOL]
+    if not kappa >= 0:
+        raise ModelError("bessel_i0 requires kappa >= 0")
+    if kappa > 1000.0:  # I0 is inf here; e^(kappa / 2) overflows past 1419
+        return math.inf
+    half = math.exp(0.5 * kappa)
+    return _bessel_ratios(kappa)[1] * half * half
+
+
+def _bessel_ratios(kappa: float) -> tuple:
+    """(rho, i0e): rho_n = I_n(kappa) / I0(kappa) for n = 1, 2, ... while
+    >= 1e-17, and i0e(kappa) = exp(-kappa) I0(kappa).
+
+    I_n / I_{n-1} = kappa / (2n + kappa I_{n+1} / I_n) is run downwards from
+    0 at n = top, doubling top until the kept prefix stops changing; rho is
+    the running product of the ratios, which fall with n, so the kept terms
+    are a prefix.  exp(kappa cos y) = I0 (1 + 2 sum_n rho_n cos ny) at y = 0
+    gives i0e = 1 / (1 + 2 sum_n rho_n).
+    """
+    top, rho = 32, None
+    while True:
+        ratios = np.empty(top)
+        r = 0.0
+        for n in range(top, 0, -1):
+            r = kappa / (2 * n + kappa * r)
+            ratios[n - 1] = r
+        kept = np.cumprod(ratios)
+        kept = kept[kept >= _SERIES_TOL]
+        if rho is not None and np.array_equal(kept, rho):
+            break
+        top, rho = 2 * top, kept
     rho.flags.writeable = False
-    return rho
+    return rho, 1.0 / (1.0 + 2.0 * math.fsum(rho))
 
 
 @dataclass(frozen=True)
@@ -93,13 +112,13 @@ class KernelSpec:
         if self.kind == "von_mises":
             if not self.window.is_circle:
                 raise ModelError("von Mises kernel requires a circle window")
-            if self.kappa is None or self.kappa < 0:
-                raise ModelError("von Mises kernel needs kappa >= 0")
+            if self.kappa is None or not 0 <= self.kappa < math.inf:
+                raise ModelError("von Mises kernel needs finite kappa >= 0")
             # log(2 pi I0(kappa)) through the scaled i0e, finite for any kappa
-            i0e = float(special.i0e(self.kappa))
+            rho, i0e = _bessel_ratios(self.kappa)
             object.__setattr__(self, "_log_norm",
                                self.kappa + math.log(TWO_PI * i0e))
-            object.__setattr__(self, "_rho", _bessel_ratios(self.kappa, i0e))
+            object.__setattr__(self, "_rho", rho)
         elif self.kind == "gaussian":
             if self.window.is_circle:
                 raise ModelError("Gaussian kernel requires an interval window")
@@ -252,6 +271,10 @@ def sample_kernel_posterior(spec: KernelSpec, prior, x: float, gen,
         return invert_cdf(table, gen.random(size))
     if spec.kind == "von_mises":
         return np.mod(gen.vonmises(x, spec.kappa, size), TWO_PI)
-    lo, hi = special.ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
-    u = x + spec.sigma * special.ndtri(lo + gen.random(size) * (hi - lo))
+    # imported here, the only scipy use in the package: importing
+    # scipy.special costs about 0.3 s and 18 MB, which every command and
+    # subprocess would otherwise pay at start-up
+    from scipy.special import ndtr, ndtri
+    lo, hi = ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
+    u = x + spec.sigma * ndtri(lo + gen.random(size) * (hi - lo))
     return np.clip(u, window.a, window.b)

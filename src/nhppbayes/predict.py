@@ -28,23 +28,28 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import ModelError, PointPattern, PriorSpec
 from .kernels import KernelSpec, eval_kernel, sample_kernel_posterior
 from .posterior import ClusterState, McmcConfig, base_predictive, run_mcmc
 from .simulate import RngLike, as_generator
 
+_NB_TERMS = 10_000_000  # most terms nb_total_mass sums before it gives up
+
 
 def nb_log_pmf(r: float, p: float, m: int) -> float:
     """Negative binomial log pmf: Gamma(m+r)/(m! Gamma(r)) p^m (1-p)^r.
 
-    The Gamma ratio is skipped at m = 0, where it is 1 but gammaln(r) is
-    infinite for subnormal r.
+    The Gamma ratio comes from ``math.lgamma``; r must be finite and within
+    its range (below about 2.5e305), else ``ModelError``.  At m = 0 the ratio
+    is exactly 0.0 in log form, even for subnormal r.
     """
-    if not r > 0 or not 0.0 < p < 1.0 or m < 0:
-        raise ModelError("need r > 0, 0 < p < 1, m >= 0")
-    log_coef = gammaln(m + r) - gammaln(m + 1) - gammaln(r) if m else 0.0
+    if not 0 < r < math.inf or not 0.0 < p < 1.0 or m < 0:
+        raise ModelError("need finite r > 0, 0 < p < 1, m >= 0")
+    try:
+        log_coef = math.lgamma(m + r) - math.lgamma(m + 1) - math.lgamma(r)
+    except OverflowError:
+        raise ModelError(f"r = {r!r} is beyond the range of lgamma") from None
     return float(log_coef + m * math.log(p) + r * math.log1p(-p))
 
 
@@ -53,11 +58,17 @@ def nb_total_mass(r: float, p: float, tol: float = 1e-10):
 
     The pmf ratio p (m + r) / (m + 1) falls with m when r >= 1 and rises
     towards p when r < 1, so the current ratio bounds every later one in the
-    first case and p does in the second.
+    first case and p does in the second.  Once that bound is below 1 the
+    certified tail falls with m, so a tail still at or above tol at the
+    10^7-term cap is rejected at once, before the sum.
     """
+    pmf = math.exp(nb_log_pmf(r, p, 0))
+    bound = p * (_NB_TERMS + r) / (_NB_TERMS + 1) if r >= 1.0 else p
+    if bound >= 1.0 or (math.exp(nb_log_pmf(r, p, _NB_TERMS))
+                        * bound / (1.0 - bound) >= tol):
+        raise ModelError("negative binomial tail did not certify")
     total = 0.0
     m = 0
-    pmf = math.exp(nb_log_pmf(r, p, 0))
     while True:
         total += pmf
         ratio = p * (m + r) / (m + 1)
@@ -68,7 +79,7 @@ def nb_total_mass(r: float, p: float, tol: float = 1e-10):
                 return total, tail
         pmf *= ratio
         m += 1
-        if m > 10_000_000:
+        if m > _NB_TERMS:
             raise ModelError("negative binomial tail did not certify")
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import IntensityModel, ModelError, PriorSpec
 from .kernels import KernelSpec
@@ -101,7 +100,8 @@ def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
     while -theta + n + n * math.log(theta / n) > math.log(tail):
         n = int(n * 1.2) + 5
     ns = np.arange(n + 1)
-    pmf = np.exp(ns * math.log(theta) - theta - gammaln(ns + 1))
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    pmf = np.exp(ns * math.log(theta) - theta - log_fact)
     return ns, pmf
 
 

@@ -1,15 +1,49 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import i0e, ive
 
 from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
                        eval_kernel, mixture_density, mixture_intensity,
                        quadrature, validate)
-from nhppbayes.kernels import mixture_series, sample_kernel_posterior
+from nhppbayes.kernels import (_bessel_ratios, mixture_series,
+                               sample_kernel_posterior)
 
 TWO_PI = 2.0 * math.pi
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# kappa: (kept ratios, i0e(kappa), {n: I_n(kappa) / I0(kappa)}) for n = 1, 2,
+# the middle and the last kept term and the first dropped one; exact values
+# from mpmath 1.3.0 at 40 digits, rounded to double
+BESSEL_EXACT = {
+    0.0: (0, 1.0, {1: 0.0}),
+    0.5: (12, 0.6450352704491501, {
+        1: 0.24249961258080194, 2: 0.03000154967679222,
+        6: 3.2170093303835426e-07, 12: 1.1757095136744653e-16,
+        13: 2.260203895942879e-18}),
+    5.0: (25, 0.18354081260932836, {
+        1: 0.8933831370440852, 2: 0.6426467451823659,
+        12: 7.329821666689445e-06, 25: 2.6704699467777055e-17,
+        26: 2.54528297802602e-18}),
+    50.0: (65, 0.05656162664745419, {
+        1: 0.9899489673784978, 2: 0.9604020413048601,
+        32: 4.4757692803398396e-05, 65: 2.2271774186170467e-17,
+        66: 7.492866793798875e-18}),
+    800.0: (251, 0.014106945005869185, {
+        1: 0.9993748044428813, 2: 0.9975015629888928,
+        125: 5.818174219583834e-05, 251: 1.0604431411061384e-17,
+        252: 7.780952272866131e-18}),
+    1e4: (885, 0.003989472674604732, {
+        1: 0.999949998749875, 2: 0.99980001000025,
+        442: 5.730637854418739e-05, 885: 1.0062656941212098e-17,
+        886: 9.210942329639444e-18}),
+}
 
 
 def i0_series(x, terms=40):
@@ -40,6 +74,17 @@ class TestBesselI0:
     def test_rejects_negative(self):
         with pytest.raises(ModelError):
             bessel_i0(-1.0)
+
+    @pytest.mark.parametrize("x", [714.0, 800.0, 1e4, math.inf])
+    def test_overflow_is_inf_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_i0(x) == math.inf
+
+    @pytest.mark.parametrize("kappa", sorted(BESSEL_EXACT))
+    def test_scaled_i0_matches_exact(self, kappa):
+        assert _bessel_ratios(kappa)[1] == pytest.approx(
+            BESSEL_EXACT[kappa][1], rel=1e-15, abs=0)
 
 
 class TestEvalKernel:
@@ -142,6 +187,27 @@ class TestSampleKernelPosterior:
         assert gen.bit_generator.state == twin.bit_generator.state
         assert u.shape == (1,) and 0.0 <= u[0] <= 1e-3
 
+    def test_scipy_loads_only_for_the_gaussian_draw(self):
+        # a fresh interpreter, since conftest has imported scipy in this one
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import nhppbayes, nhppbayes.cli
+            from nhppbayes import KernelSpec, PriorSpec, Window
+            from nhppbayes.kernels import sample_kernel_posterior
+            loaded = [m for m in sys.modules if m.startswith("scipy")]
+            assert not loaded, loaded
+            window = Window.interval(0.0, 4.0)
+            u = sample_kernel_posterior(
+                KernelSpec.gaussian(1.0, window), PriorSpec.uniform_unit(window),
+                3.9, np.random.default_rng(1), 100)
+            assert u.shape == (100,) and np.all((u >= 0.0) & (u <= 4.0))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestMixture:
     def test_single_atom_equals_kernel(self, vm5, circle):
@@ -196,11 +262,13 @@ class TestMixture:
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0, 1e4])
     def test_series_keeps_ratios_down_to_tolerance(self, kappa):
         rho = KernelSpec.von_mises(kappa)._rho
-        n = rho.size
+        kept, _, exact = BESSEL_EXACT[kappa]
+        assert rho.size == kept
         assert np.all(rho >= 1e-17) and np.all(np.diff(rho) <= 0)
-        assert ive(n + 1, kappa) / i0e(kappa) < 1e-17
-        np.testing.assert_allclose(rho, ive(np.arange(1, n + 1), kappa)
-                                   / i0e(kappa), rtol=1e-14)
+        assert exact[kept + 1] < 1e-17
+        ns = [n for n in exact if n <= kept]
+        np.testing.assert_allclose(rho[np.array(ns, dtype=int) - 1],
+                                   [exact[n] for n in ns], rtol=1e-14)
 
 
 class TestSerialization:

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +87,20 @@ class TestNbLogPmf:
             nb_log_pmf(1.0, 1.0, 1)
         with pytest.raises(ModelError):
             nb_log_pmf(1.0, 0.5, -1)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 1e306])
+    def test_rejects_r_beyond_lgamma(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError):
+                nb_log_pmf(r, 0.5, 3)
+
+    def test_total_mass_fails_fast_near_p_one(self):
+        # the sum would need about 2.3e8 terms, past its 1e7 cap
+        t0 = time.perf_counter()
+        with pytest.raises(ModelError, match="did not certify"):
+            nb_total_mass(1.0, 1.0 - 1e-7)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestPredictiveCountParams:
