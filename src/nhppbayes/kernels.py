@@ -81,12 +81,11 @@ def _bessel_ratios(kappa: float) -> tuple:
     """
     top, rho = 32, None
     while True:
-        ratios = np.empty(top)
-        r = 0.0
+        ratios, r = [], 0.0
         for n in range(top, 0, -1):
             r = kappa / (2 * n + kappa * r)
-            ratios[n - 1] = r
-        kept = np.cumprod(ratios)
+            ratios.append(r)
+        kept = np.cumprod(ratios[::-1])
         kept = kept[kept >= _SERIES_TOL]
         if rho is not None and np.array_equal(kept, rho):
             break

@@ -121,6 +121,11 @@ class TestEvalKernel:
         with pytest.raises(ModelError):
             KernelSpec.von_mises(5.0, Window.interval(0, 1))
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.inf, math.nan])
+    def test_von_mises_needs_finite_nonnegative_kappa(self, kappa):
+        with pytest.raises(ModelError):
+            KernelSpec.von_mises(kappa)
+
     def test_gaussian_needs_interval(self, circle):
         with pytest.raises(ModelError):
             KernelSpec.gaussian(1.0, circle)
