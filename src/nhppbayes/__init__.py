@@ -6,9 +6,9 @@ predictive densities, and a risk-verification harness for the domination
 and integral-representation properties of the estimators.
 """
 
-from .core import (GridDensity, IntensityModel, ModelError, ObservationSpec,
-                   PointPattern, PriorSpec, ValidationReport, Window,
-                   quadrature, quadrature_checked, validate)
+from .core import (GridDensity, IntensityModel, ModelError, PointPattern,
+                   PriorSpec, ValidationReport, Window, quadrature,
+                   quadrature_checked, validate)
 from .kernels import (KernelSpec, bessel_i0, eval_kernel, mixture_density,
                       mixture_intensity)
 from .posterior import (ClusterState, McmcConfig, McmcResult, PosteriorSummary,
@@ -16,7 +16,7 @@ from .posterior import (ClusterState, McmcConfig, McmcResult, PosteriorSummary,
                         posterior_lambda_bar, posterior_weight_mean, run_mcmc)
 from .predict import (PredictiveDensity, build_predictive, nb_log_pmf,
                       nb_total_mass, predictive_count_params,
-                      predictive_log_score, predictive_point_logdensity)
+                      predictive_point_logdensity)
 from .risk import (IntegralRepresentationCheck, RiskEntry, RiskReport,
                    domination_study, estimation_risk_mc,
                    integral_representation_check, kl_decomposed, kl_intensity,
@@ -31,18 +31,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterState", "GridDensity", "IntegralRepresentationCheck",
     "IntensityModel", "KernelSpec", "McmcConfig", "McmcResult", "ModelError",
-    "ObservationSpec", "PointPattern", "PosteriorSummary", "PredictiveDensity",
-    "PriorSpec", "RiskEntry", "RiskReport", "RngStream", "ValidationReport",
-    "Window", "bessel_i0", "build_predictive", "derive_seed",
-    "domination_study", "estimate_intensity", "estimate_intensity_multi",
-    "estimation_risk_mc", "eval_kernel", "integral_representation_check",
-    "kl_decomposed", "kl_intensity", "log_pattern_density", "mixture_density",
+    "PointPattern", "PosteriorSummary", "PredictiveDensity", "PriorSpec",
+    "RiskEntry", "RiskReport", "RngStream", "ValidationReport", "Window",
+    "bessel_i0", "build_predictive", "derive_seed", "domination_study",
+    "estimate_intensity", "estimate_intensity_multi", "estimation_risk_mc",
+    "eval_kernel", "integral_representation_check", "kl_decomposed",
+    "kl_intensity", "log_pattern_density", "mixture_density",
     "mixture_intensity", "nb_log_pmf", "nb_total_mass",
     "poisson_derivative_identity", "poisson_log_shift_bound",
     "poisson_pmf_series", "posterior_lambda_bar", "posterior_weight_mean",
-    "predictive_count_params", "predictive_log_score",
-    "predictive_point_logdensity", "predictive_risk_mc", "quadrature",
-    "quadrature_checked", "run_mcmc", "sample_base", "sample_crp",
-    "sample_nhpp", "sample_prior_intensity", "validate",
-    "weight_risk_difference_exact",
+    "predictive_count_params", "predictive_point_logdensity",
+    "predictive_risk_mc", "quadrature", "quadrature_checked", "run_mcmc",
+    "sample_base", "sample_crp", "sample_nhpp", "sample_prior_intensity",
+    "validate", "weight_risk_difference_exact",
 ]

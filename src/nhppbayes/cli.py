@@ -137,8 +137,7 @@ def cmd_simulate(args) -> int:
     exposure = float(cfg.get("exposure", 1.0))
     if exposure <= 0:
         raise CliError("exposure must be positive")
-    pattern = sample_nhpp(model, exposure, RngStream(cfg["seed"]),
-                          method=cfg.get("method", "auto"))
+    pattern = sample_nhpp(model, exposure, RngStream(cfg["seed"]))
     out = cfg.get("out", "pattern.csv")
     pattern.to_csv(out)
     print(f"N={pattern.count} seed={cfg['seed']} out={out}")
@@ -447,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", help="sine2 or const:VALUE")
     p.add_argument("--exposure", type=float)
     p.add_argument("--window", help="'circle' or 'a,b'")
-    p.add_argument("--method", choices=["auto", "inversion", "thinning"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -33,7 +33,8 @@ class ModelError(ValueError):
 class Window:
     """Observation region: either the unit circle [0, 2*pi) or an interval.
 
-    Circle arithmetic wraps modulo 2*pi.  Interval bounds must satisfy a < b.
+    Circle arithmetic wraps modulo 2*pi.  Interval bounds must be finite
+    and satisfy a < b.
     """
 
     kind: str
@@ -46,8 +47,10 @@ class Window:
         if self.kind == "circle":
             object.__setattr__(self, "a", 0.0)
             object.__setattr__(self, "b", TWO_PI)
-        elif not self.b > self.a:
-            raise ModelError(f"interval needs a < b, got [{self.a}, {self.b}]")
+        elif not (math.isfinite(self.a) and math.isfinite(self.b)
+                  and self.b > self.a):
+            raise ModelError(
+                f"interval needs finite a < b, got [{self.a}, {self.b}]")
 
     @classmethod
     def circle(cls) -> "Window":
@@ -84,6 +87,8 @@ class Window:
         endpoint (the periodic trapezoid rule, spectrally accurate for smooth
         integrands).  On an interval it uses n+1 nodes including endpoints.
         """
+        if n < 1:
+            raise ModelError(f"need at least one quadrature cell, got {n}")
         if self.is_circle:
             h = TWO_PI / n
             nodes = np.arange(n) * h
@@ -162,13 +167,13 @@ def invert_cdf(table, u):
     return nodes[idx] + frac * (nodes[idx + 1] - nodes[idx])
 
 
-def _cached_cdf_table(owner, density: Callable, n: int):
+def _cached_cdf_table(owner, density: Callable):
     """cdf_table on the owner's window, cached on the (frozen) owner."""
     cached = owner.__dict__.get("_cdf_table")
-    if cached is None or cached[0] != n:
-        cached = (n, cdf_table(owner.window, density, n))
+    if cached is None:
+        cached = cdf_table(owner.window, density)
         object.__setattr__(owner, "_cdf_table", cached)
-    return cached[1]
+    return cached
 
 
 @dataclass(frozen=True)
@@ -288,8 +293,9 @@ class IntensityModel:
     def __post_init__(self):
         if self.kind not in ("closed_form", "kernel_mixture"):
             raise ModelError(f"unknown intensity kind {self.kind!r}")
-        if not self.total_mass > 0:
-            raise ModelError("total mass must be positive")
+        if not 0 < self.total_mass < math.inf:
+            raise ModelError(f"total mass must be finite and positive, "
+                             f"got {self.total_mass}")
 
     @classmethod
     def from_function(cls, window: Window, fn: Callable,
@@ -316,9 +322,9 @@ class IntensityModel:
         """The shape lambda-bar = lambda / w."""
         return self(u) / self.total_mass
 
-    def shape_cdf_table(self, n: int = QUAD_NODES):
-        """Tabulated CDF of the normalized shape (cached per resolution)."""
-        return _cached_cdf_table(self, self, n)
+    def shape_cdf_table(self):
+        """Tabulated CDF of the normalized shape (cached)."""
+        return _cached_cdf_table(self, self)
 
 
 @dataclass(frozen=True)
@@ -367,27 +373,14 @@ class PriorSpec:
         return PriorSpec(self.window, self.base_density, self.total_mass_alpha,
                          self.beta, gamma, self.uniform_base)
 
-    def base_cdf_table(self, n: int = QUAD_NODES):
-        """Tabulated CDF of the base shape (cached per resolution)."""
+    def base_cdf_table(self):
+        """Tabulated CDF of the base shape (cached)."""
         def density(u):
             dens = np.asarray(self.base_density(u), dtype=float)
             if np.any(dens <= 0):
                 raise ModelError("base density must be strictly positive")
             return dens
-        return _cached_cdf_table(self, density, n)
-
-
-@dataclass(frozen=True)
-class ObservationSpec:
-    """Known exposure constants: observation s, prediction t, generic tau."""
-
-    s: float
-    t: float = 1.0
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not (self.s > 0 and self.t > 0 and self.tau > 0):
-            raise ModelError("exposures must be positive")
+        return _cached_cdf_table(self, density)
 
 
 @dataclass(frozen=True)
@@ -418,9 +411,7 @@ def validate(model: IntensityModel, n: int = QUAD_NODES) -> ValidationReport:
     nonpositive = int(np.count_nonzero(vals <= 0))
     if nonpositive:
         failures.append(f"{nonpositive} nonpositive intensity values on the grid")
-    mass_q = float(np.dot(weights, vals))
-    mass_q2 = quadrature(model, model.window, 2 * n)
-    settle = abs(mass_q2 - mass_q) / max(abs(mass_q2), 1.0)
+    mass_q2, settle = quadrature_checked(model, model.window, n)
     if settle > MASS_RTOL:
         failures.append(f"mass quadrature unsettled (refinement residual {settle:.2e})")
     mass_residual = abs(mass_q2 - model.total_mass) / max(abs(model.total_mass), 1.0)

@@ -121,8 +121,8 @@ class KernelSpec:
         elif self.kind == "gaussian":
             if self.window.is_circle:
                 raise ModelError("Gaussian kernel requires an interval window")
-            if self.sigma is None or not self.sigma > 0:
-                raise ModelError("Gaussian kernel needs sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ModelError("Gaussian kernel needs finite sigma > 0")
             object.__setattr__(self, "_log_norm", math.log(_SQRT_TWO_PI * self.sigma))
         else:
             raise ModelError(f"unknown kernel kind {self.kind!r}")

@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
-from .kernels import (KernelSpec, eval_kernel, member_stats, mixture_density,
-                      mixture_series)
+from .kernels import KernelSpec, member_stats, mixture_density, mixture_series
 from .simulate import RngLike, as_generator, sample_base
 
 
@@ -62,21 +61,21 @@ class ClusterState:
         return int(self.counts.size)
 
 
+# Chain tuning: fresh candidate locations per reassignment step (Neal's
+# Algorithm 8 auxiliary components) and the random-walk refresh's scale.
+_AUX_COMPONENTS = 3
+_LOCATION_STEP = 0.2
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     burn_in: int = 2000
     samples: int = 2000
     thin: int = 5
-    aux_components: int = 3
-    location_step: float = 0.2
 
     def __post_init__(self):
         if self.burn_in < 0 or self.samples < 1 or self.thin < 1:
             raise ModelError("need burn_in >= 0, samples >= 1, thin >= 1")
-        if self.aux_components < 1:
-            raise ModelError("need at least one auxiliary component")
-        if not self.location_step > 0:
-            raise ModelError("location_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ def posterior_weight_mean(prior: PriorSpec, n: int, s: float) -> float:
     (|alpha| - gamma + N) / (s + 1/beta), where the improper prior takes the
     beta -> infinity limit and divides by s alone.
     """
-    if not s > 0:
-        raise ModelError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ModelError(f"s must be finite and positive, got {s}")
     numer = prior.weight_shape + n
     if prior.is_improper:
         return numer / s
@@ -134,9 +133,8 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     gen = as_generator(rng)
     xs = [float(v) for v in pattern.points]
     theta = prior.total_mass_alpha
-    m_aux = config.aux_components
+    m_aux = _AUX_COMPONENTS
     aux_w = theta / m_aux
-    step = config.location_step
     window = prior.window
     circular = window.is_circle
     win_a, win_b = window.a, window.b
@@ -247,7 +245,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
         # random-walk refresh of every occupied cluster location
         k_active = len(active)
-        z = gen.normal(0.0, step, k_active).tolist()
+        z = gen.normal(0.0, _LOCATION_STEP, k_active).tolist()
         accept_u = gen.random(k_active).tolist()
         for j in range(k_active):
             sid = active[j]
@@ -293,12 +291,7 @@ def base_predictive(prior: PriorSpec, kernel: KernelSpec,
         return np.ones(grid.size)
     nodes, weights = prior.window.quad_nodes()
     dens = np.asarray(prior.base_density(nodes), dtype=float) * weights
-    out = np.empty(grid.size)
-    step = max(1, 2_000_000 // max(nodes.size, 1))
-    for lo in range(0, grid.size, step):
-        hi = lo + step
-        out[lo:hi] = eval_kernel(kernel, grid[lo:hi, None], nodes[None, :]) @ dens
-    return out
+    return mixture_density(kernel, nodes, dens, grid)
 
 
 def posterior_lambda_bar(draws: Sequence[ClusterState], prior: PriorSpec,

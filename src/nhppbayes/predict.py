@@ -60,9 +60,13 @@ def nb_total_mass(r: float, p: float, tol: float = 1e-10):
     towards p when r < 1, so the current ratio bounds every later one in the
     first case and p does in the second.  Once that bound is below 1 the
     certified tail falls with m, so a tail still at or above tol at the
-    10^7-term cap is rejected at once, before the sum.
+    10^7-term cap is rejected at once, before the sum.  So is a pmf(0) =
+    (1 - p)^r that underflows to 0, which would certify a zero sum.
     """
     pmf = math.exp(nb_log_pmf(r, p, 0))
+    if pmf == 0.0:
+        raise ModelError(f"negative binomial pmf(0) underflows at r = {r!r}, "
+                         f"p = {p!r}")
     bound = p * (_NB_TERMS + r) / (_NB_TERMS + 1) if r >= 1.0 else p
     if bound >= 1.0 or (math.exp(nb_log_pmf(r, p, _NB_TERMS))
                         * bound / (1.0 - bound) >= tol):
@@ -104,8 +108,11 @@ def predictive_point_logdensity(draws: Sequence[ClusterState], prior: PriorSpec,
     sequence encodes the prior state for an empty pattern).  Each future
     point is scored by its one-step predictive density and then assigned to
     a cluster by sampling, so later points see the augmented state.  Returns
-    0.0 for an empty future (the empty product).
+    0.0 for an empty future (the empty product).  ``aug_replicates`` below
+    1 raises ``ModelError``.
     """
+    if aug_replicates < 1:
+        raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     gen = as_generator(rng)
     # rows zero-padded to K_max + M columns, of which row r occupies used[r]
@@ -158,16 +165,20 @@ class PredictiveDensity:
     draws: tuple
     aug_replicates: int = 8
 
-    def count_log_pmf(self, m: int) -> float:
-        return nb_log_pmf(self.r, self.p, m)
-
-    def point_log_density(self, ys, rng: RngLike) -> float:
-        return predictive_point_logdensity(self.draws, self.prior, self.kernel,
-                                           ys, self.pattern, rng,
-                                           self.aug_replicates)
-
     def log_score(self, future: PointPattern, rng: RngLike) -> float:
-        return predictive_log_score(self, future, rng)
+        """Log predictive density of a future pattern on the same window.
+
+        The negative binomial log pmf of its count plus, when it has points,
+        the point layer's log density of their locations (drawn from ``rng``).
+        """
+        if future.window != self.pattern.window:
+            raise ModelError("future pattern must live on the same window")
+        score = nb_log_pmf(self.r, self.p, future.count)
+        if future.count:
+            score += predictive_point_logdensity(
+                self.draws, self.prior, self.kernel, future.points,
+                self.pattern, rng, self.aug_replicates)
+        return score
 
 
 def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
@@ -181,13 +192,3 @@ def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec
     return PredictiveDensity(r, p, prior, kernel, pattern, tuple(draws),
                              aug_replicates)
 
-
-def predictive_log_score(predictive: PredictiveDensity, future: PointPattern,
-                         rng: RngLike) -> float:
-    """Log predictive density of a future pattern: count term + point term."""
-    if future.window != predictive.pattern.window:
-        raise ModelError("future pattern must live on the same window")
-    count_term = predictive.count_log_pmf(future.count)
-    point_term = predictive.point_log_density(future.points, rng) \
-        if future.count else 0.0
-    return count_term + point_term

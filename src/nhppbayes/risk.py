@@ -92,8 +92,9 @@ def kl_decomposed(true_model: IntensityModel, est_model: IntensityModel,
 def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
     """Support and pmf of Poisson(theta), truncated where the Chernoff
     upper-tail bound exp(-theta) (e theta / n)^n drops below ``tail``."""
-    if theta < 0:
-        raise ModelError("Poisson mean must be nonnegative")
+    if not 0 <= theta < math.inf:
+        raise ModelError(f"Poisson mean must be finite and nonnegative, "
+                         f"got {theta}")
     if theta == 0.0:
         return np.zeros(1, dtype=np.int64), np.ones(1)
     n = int(theta) + 1
@@ -186,7 +187,6 @@ class RiskEntry:
 class RiskReport:
     entries: list
     notes: list = field(default_factory=list)
-    tau_grid: Optional[np.ndarray] = None
 
     def entry(self, label: str) -> RiskEntry:
         for e in self.entries:
@@ -204,8 +204,6 @@ class RiskReport:
                 **({"meta": e.meta} if e.meta else {}),
             } for e in self.entries],
             "notes": list(self.notes),
-            **({"tau_grid": [float(v) for v in self.tau_grid]}
-               if self.tau_grid is not None else {}),
         }
 
     def to_csv(self, path) -> None:
@@ -338,6 +336,8 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
     is compared against the directly simulated predictive risk.  The gate is
     three times the sum of the two standard errors.
     """
+    if nodes < 1:
+        raise ModelError(f"need at least one exposure node, got {nodes}")
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     taus = s + (xg + 1.0) * (t / 2.0)
     gl_weights = wg * (t / 2.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -57,25 +57,6 @@ def derive_seed(*tags) -> int:
     return int(a ^ (b << 1)) & (2**63 - 1)
 
 
-def _sample_shape_thinning(model: IntensityModel, size: int,
-                           gen: np.random.Generator,
-                           sup_bound: Optional[float]) -> np.ndarray:
-    window = model.window
-    if sup_bound is None:
-        sup_bound = float(np.max(model(window.grid(4096)))) * 1.001
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        block = max(64, 2 * (size - filled))
-        cand = gen.uniform(window.a, window.b, block)
-        accept = gen.random(block) * sup_bound <= model(cand)
-        kept = cand[accept]
-        take = min(kept.size, size - filled)
-        out[filled:filled + take] = kept[:take]
-        filled += take
-    return out
-
-
 def _sample_mixture_points(model: IntensityModel, size: int,
                            gen: np.random.Generator) -> np.ndarray:
     spec = model.kernel
@@ -92,27 +73,28 @@ def _sample_mixture_points(model: IntensityModel, size: int,
     return pts[(pts >= window.a) & (pts <= window.b)]
 
 
-def sample_nhpp(model: IntensityModel, exposure: float, rng: RngLike,
-                method: str = "auto", sup_bound: Optional[float] = None) -> PointPattern:
+def sample_nhpp(model: IntensityModel, exposure: float,
+                rng: RngLike) -> PointPattern:
     """Sample one realization with intensity exposure * lambda.
 
     The count is Poisson(exposure * w); given the count, locations are i.i.d.
     draws from the normalized shape.  A Gaussian mixture on an interval
     drops the points that fall outside the window, so its count is Poisson
-    in the mass inside the window.  Closed-form intensities use tabulated
-    inverse-CDF sampling by default, or thinning when requested (the
-    acceptance bound defaults to the grid supremum times 1.001).
+    in the mass inside the window.  Closed-form intensities are sampled by
+    tabulated inverse-CDF.  A count mean beyond numpy's Poisson range
+    (about 9.2e18, or not finite) raises ``ModelError``.
     """
     if not exposure > 0:
         raise ModelError("exposure must be positive")
     gen = as_generator(rng)
-    n = int(gen.poisson(exposure * model.total_mass))
+    try:
+        n = int(gen.poisson(exposure * model.total_mass))
+    except ValueError as exc:
+        raise ModelError(f"cannot draw the count: {exc}") from None
     if n == 0:
         return PointPattern.empty(model.window)
     if model.kind == "kernel_mixture":
         pts = _sample_mixture_points(model, n, gen)
-    elif method == "thinning":
-        pts = _sample_shape_thinning(model, n, gen, sup_bound)
     else:
         pts = invert_cdf(model.shape_cdf_table(), gen.random(n))
     return PointPattern(model.window, pts)

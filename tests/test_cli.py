@@ -225,3 +225,36 @@ class TestFigure1:
         ticks = [el for el in root.findall(f".//{SVG_NS}line")
                  if el.get("class") == "tick"]
         assert len(ticks) == 10
+
+
+SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--intensity", "const:inf"],
+    ["simulate", "--intensity", "const:1e300"],
+    ["simulate", "--exposure", "inf"],
+    ["simulate", "--intensity", "const:1", "--window", "0,inf"],
+    ["risk", "--check", "theorem3", "--s", "inf"],
+    ["risk", "--check", "theorem3", "--grid-size", "0"],
+    ["risk", "--check", "theorem3", "--grid-size", "-3"],
+    ["risk", "--check", "theorem3", "--nodes", "0"],
+    ["risk", "--check", "theorem4", "--tau", "inf"],
+    ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
+    ["estimate", "--s", "inf", *SHORT_CHAIN],
+    ["predict", "--aug-replicates", "-1", *SHORT_CHAIN],
+    ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
+], ids=" ".join)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    # each of these once ended in a traceback or in a silently wrong result
+    pattern = tmp_path / "p.csv"
+    pattern.write_text("location\n1.0\n2.0\n")
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    elif argv[0] == "estimate":
+        argv = argv + ["--pattern", str(pattern)]
+    elif argv[0] == "predict":
+        argv = argv + ["--pattern", str(pattern), "--future", str(pattern)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "error:" in err

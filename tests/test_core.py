@@ -1,12 +1,14 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from nhppbayes import (GridDensity, IntensityModel, ModelError, ObservationSpec,
-                       PointPattern, PriorSpec, Window, mixture_intensity,
-                       quadrature, quadrature_checked, validate)
+import nhppbayes
+from nhppbayes import (GridDensity, IntensityModel, ModelError, PointPattern,
+                       PriorSpec, Window, mixture_intensity, quadrature,
+                       quadrature_checked, validate)
 from nhppbayes.posterior import posterior_weight_mean
 
 TWO_PI = 2.0 * math.pi
@@ -179,9 +181,10 @@ class TestPriorSpec:
         assert shrunk.uniform_base
 
 
-class TestObservationSpec:
-    def test_positive_exposures(self):
-        spec = ObservationSpec(s=1.0, t=0.5, tau=2.0)
-        assert spec.s == 1.0
-        with pytest.raises(ModelError):
-            ObservationSpec(s=0.0)
+def test_all_lists_every_public_name_once():
+    exported = nhppbayes.__all__
+    assert exported == sorted(set(exported))
+    bound = {name for name, value in vars(nhppbayes).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(exported) == bound

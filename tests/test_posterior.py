@@ -59,11 +59,6 @@ class TestRunMcmc:
         np.testing.assert_array_equal(gen.random(4),
                                       RngStream(0).generator().random(4))
 
-    @pytest.mark.parametrize("step", [0.0, -0.2])
-    def test_config_rejects_nonpositive_location_step(self, step):
-        with pytest.raises(ModelError):
-            McmcConfig(location_step=step)
-
     def test_large_kappa_chain_finishes(self, circle, uniform_prior):
         # kappa = 800 overflows an unscaled exp(kappa cos d)
         sharp = KernelSpec.von_mises(800.0, circle)

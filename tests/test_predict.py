@@ -8,8 +8,8 @@ import pytest
 from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        PriorSpec, RngStream, Window, build_predictive,
                        nb_log_pmf, nb_total_mass, posterior_lambda_bar,
-                       predictive_count_params, predictive_log_score,
-                       predictive_point_logdensity, run_mcmc)
+                       predictive_count_params, predictive_point_logdensity,
+                       run_mcmc)
 from nhppbayes.kernels import eval_kernel, sample_kernel_posterior
 from nhppbayes.posterior import ClusterState, base_predictive
 
@@ -101,6 +101,13 @@ class TestNbLogPmf:
         with pytest.raises(ModelError, match="did not certify"):
             nb_total_mass(1.0, 1.0 - 1e-7)
         assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("r", [400.0, 3000.0])
+    def test_total_mass_rejects_underflowing_first_term(self, r):
+        # (1 - p)^r underflows to 0 here, which would sum to a "certified" 0
+        assert nb_log_pmf(r, 0.9, 0) < math.log(5e-324)
+        with pytest.raises(ModelError):
+            nb_total_mass(r, 0.9)
 
 
 class TestPredictiveCountParams:
@@ -302,9 +309,11 @@ class TestLogScore:
         cfg = McmcConfig(burn_in=100, samples=80, thin=1)
         predictive = build_predictive(pattern, uniform_prior, vm5, 1.0, 1.0,
                                       cfg, RngStream(69))
-        count_term = predictive.count_log_pmf(1)
-        point_term = predictive.point_log_density(future.points, RngStream(70))
-        total = predictive_log_score(predictive, future, RngStream(70))
+        count_term = nb_log_pmf(predictive.r, predictive.p, 1)
+        point_term = predictive_point_logdensity(
+            predictive.draws, uniform_prior, vm5, future.points, pattern,
+            RngStream(70), predictive.aug_replicates)
+        total = predictive.log_score(future, RngStream(70))
         assert total == count_term + point_term
 
     def test_window_mismatch_rejected(self, circle, vm5, uniform_prior):
@@ -325,7 +334,9 @@ class TestLogScore:
                                       rng=RngStream(73))
         assert predictive.r == pytest.approx(TWO_PI)
         future = PointPattern(circle, [1.0, 4.0])
-        point = predictive.point_log_density(future.points, RngStream(74))
+        point = predictive_point_logdensity(
+            predictive.draws, uniform_prior, vm5, future.points,
+            predictive.pattern, RngStream(74), predictive.aug_replicates)
         # first point scores the flat prior predictive 1/(2 pi); the second
         # sees one absorbed cluster
         assert point < 2 * math.log(1.0 / TWO_PI) + 1.0

@@ -107,13 +107,6 @@ class TestSampleNhpp:
         mean_dir = np.angle(z.mean())
         assert abs(mean_dir) < 3.0 / math.sqrt(pts.size)
 
-    def test_thinning_agrees_with_inversion_in_distribution(self, sine2):
-        gen = RngStream(19).generator()
-        counts = [sample_nhpp(sine2, 1.0, gen, method="thinning").count
-                  for _ in range(4000)]
-        target = 4.0 * math.pi
-        assert abs(np.mean(counts) - target) < 3 * math.sqrt(target / 4000)
-
     def test_interval_window_gaussian_mixture(self):
         from nhppbayes import KernelSpec, Window
         w = Window.interval(-8.0, 8.0)
