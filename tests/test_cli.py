@@ -246,7 +246,7 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
 ], ids=" ".join)
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    # each of these once ended in a traceback or in a silently wrong result
+    # a configuration error, never a traceback or a silently wrong result
     pattern = tmp_path / "p.csv"
     pattern.write_text("location\n1.0\n2.0\n")
     if argv[0] == "simulate":
