@@ -295,7 +295,10 @@ def _check_lemma3() -> bool:
 def _check_theorem4(cfg: dict) -> bool:
     abs_alpha = float(cfg.get("abs_alpha", 2.0 * math.pi))
     tau = float(cfg.get("tau", 1.0))
-    w_grid = np.geomspace(0.01, 100.0, int(cfg.get("w_points", 20)))
+    w_points = int(cfg.get("w_points", 20))
+    if w_points < 1:
+        raise CliError(f"need --w-points >= 1, got {w_points}")
+    w_grid = np.geomspace(0.01, 100.0, w_points)
     report = domination_study(abs_alpha, [(0.0, abs_alpha - 1.0)], w_grid, tau)
     for note in report.notes:
         print("note:", note)

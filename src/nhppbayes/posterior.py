@@ -366,13 +366,11 @@ def estimate_intensity_multi(pattern: PointPattern, prior: PriorSpec,
     factor.
     """
     grid = prior.window.grid(grid_size)
+    # the weight means check s and gamma, so bad input fails before the chain
+    w_means = [posterior_weight_mean(prior.with_gamma(gamma), pattern.count, s)
+               for gamma in gammas]
     result = run_mcmc(pattern, prior, kernel, config, rng)
     lam_bar = posterior_lambda_bar(result.draws, prior, kernel, grid)
-    diagnostics = result.diagnostics
-    summaries = []
-    for gamma in gammas:
-        member = prior.with_gamma(gamma)
-        w_mean = posterior_weight_mean(member, pattern.count, s)
-        summaries.append(PosteriorSummary(
-            gamma, w_mean, lam_bar, lam_bar.scaled(w_mean), dict(diagnostics)))
-    return summaries
+    return [PosteriorSummary(gamma, w_mean, lam_bar, lam_bar.scaled(w_mean),
+                             dict(result.diagnostics))
+            for gamma, w_mean in zip(gammas, w_means)]

@@ -89,8 +89,8 @@ def nb_total_mass(r: float, p: float, tol: float = 1e-10):
 
 def predictive_count_params(prior: PriorSpec, n: int, s: float, t: float):
     """(failures r, success probability p) of the predictive count layer."""
-    if not (s > 0 and t > 0):
-        raise ModelError("exposures must be positive")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise ModelError(f"exposures must be finite and positive: {s}, {t}")
     r = prior.weight_shape + n
     if prior.is_improper:
         p = t / (t + s)
@@ -186,6 +186,8 @@ def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec
                      rng: RngLike = None, draws: Optional[Sequence] = None,
                      aug_replicates: int = 8) -> PredictiveDensity:
     """Assemble the predictive density, running the chain if needed."""
+    if aug_replicates < 1:
+        raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     r, p = predictive_count_params(prior, pattern.count, s, t)
     if draws is None:
         draws = run_mcmc(pattern, prior, kernel, config, rng).draws

@@ -334,10 +334,10 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
     exposure range [s, s+t] (each node observes a pattern with exposure tau
     and estimates with that same exposure), and the quadrature combination
     is compared against the directly simulated predictive risk.  The gate is
-    three times the sum of the two standard errors.
+    three times the sum of the two standard errors (0 with one replication).
     """
-    if nodes < 1:
-        raise ModelError(f"need at least one exposure node, got {nodes}")
+    if replications < 2 or nodes < 1:
+        raise ModelError(f"need replications >= 2, nodes >= 1: {replications}, {nodes}")
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     taus = s + (xg + 1.0) * (t / 2.0)
     gl_weights = wg * (t / 2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def batch_se(values, n_batches=40):
     usable = values[: values.size // n_batches * n_batches]
     means = usable.reshape(n_batches, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(n_batches))
+
+
+def peak_traced_mb(fn, *args):
+    """Peak memory, in MB, that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def poisson_gof_pvalue(counts, mu):

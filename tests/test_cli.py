@@ -5,10 +5,20 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from nhppbayes import posterior, predict, risk
 from nhppbayes.cli import main
 
 TWO_PI = 2.0 * math.pi
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Make every command fail loudly if it starts a chain."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the chain ran before the input was checked")
+    for module in (posterior, predict, risk):
+        monkeypatch.setattr(module, "run_mcmc", ran)
 
 
 def run(argv, capsys):
@@ -239,22 +249,30 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "theorem3", "--grid-size", "0"],
     ["risk", "--check", "theorem3", "--grid-size", "-3"],
     ["risk", "--check", "theorem3", "--nodes", "0"],
+    ["risk", "--check", "theorem3", "--replications", "1"],
     ["risk", "--check", "theorem4", "--tau", "inf"],
+    ["risk", "--check", "theorem4", "--w-points", "0"],
+    ["risk", "--check", "theorem4", "--w-points", "-1"],
     ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "-1", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
+    ["predict", "--s", "inf", *SHORT_CHAIN],
+    ["predict", "--t", "inf", *SHORT_CHAIN],
 ], ids=" ".join)
-def test_bad_input_exits_2(argv, tmp_path, capsys):
-    # a configuration error, never a traceback or a silently wrong result
-    pattern = tmp_path / "p.csv"
+def test_bad_input_exits_2(argv, tmp_path, capsys, no_chain):
+    # a configuration error, never a traceback or a silently wrong result,
+    # and found before any chain runs; predict's future is empty, so the
+    # point layer, which checks its input too, never runs
+    pattern, empty = tmp_path / "p.csv", tmp_path / "empty.csv"
     pattern.write_text("location\n1.0\n2.0\n")
+    empty.write_text("location\n")
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     elif argv[0] == "estimate":
         argv = argv + ["--pattern", str(pattern)]
     elif argv[0] == "predict":
-        argv = argv + ["--pattern", str(pattern), "--future", str(pattern)]
+        argv = argv + ["--pattern", str(pattern), "--future", str(empty)]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "error:" in err

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import peak_traced_mb
 from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
                        eval_kernel, mixture_density, mixture_intensity,
                        quadrature, validate)
@@ -251,18 +252,41 @@ class TestMixture:
         with pytest.raises(ModelError):
             mixture_density(vm5, [], [], 1.0)
 
-    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0])
-    def test_series_matches_direct_sum(self, circle, kappa):
+    @pytest.mark.parametrize("kappa, atoms, points", [
+        (0.0, 200, 99), (0.5, 200, 99), (5.0, 200, 99), (50.0, 200, 99),
+        (800.0, 200, 99), (800.0, 20_000, 1024)],
+        ids=["0.0", "0.5", "5.0", "50.0", "800.0", "800.0-20000x1024"])
+    def test_series_matches_direct_sum(self, circle, kappa, atoms, points):
         # the truncated series is exact up to rounding of order 1e-16 * W;
-        # the points are off the grid and outside [0, 2 pi)
+        # the points are off the grid and outside [0, 2 pi).  The series
+        # holds one harmonic at a time, so its memory stays small at 251
+        # harmonics on 20,000 atoms.
         spec = KernelSpec.von_mises(kappa, circle)
         rng = np.random.default_rng(3)
-        locs = rng.uniform(0.0, TWO_PI, 200)
-        wts = rng.uniform(0.5, 3.0, 200)
-        y = rng.uniform(-10.0, 10.0, 99)
+        locs = rng.uniform(0.0, TWO_PI, atoms)
+        wts = rng.uniform(0.5, 3.0, atoms)
+        y = rng.uniform(-10.0, 10.0, points)
         series = mixture_series(spec, locs, wts, y)
         np.testing.assert_allclose(series, mixture_density(spec, locs, wts, y),
                                    rtol=0, atol=1e-13 * wts.sum())
+        if kappa == 0.0:  # no harmonics: the uniform density times W
+            np.testing.assert_array_equal(series, wts.sum() / TWO_PI)
+        assert peak_traced_mb(mixture_series, spec, locs, wts, y) < 2.0
+
+    @pytest.mark.parametrize("atoms, points", [(14_000, 1024), (70_000, 3)])
+    def test_direct_sum_in_bounded_blocks(self, atoms, points):
+        # a Gaussian posterior-mean shape's size, then more atoms than one
+        # block holds; the reference takes one point at a time
+        window = Window.interval(0.0, 7.0)
+        spec = KernelSpec.gaussian(0.5, window)
+        rng = np.random.default_rng(5)
+        locs = rng.uniform(0.0, 7.0, atoms)
+        wts = rng.uniform(0.5, 3.0, atoms)
+        y = window.grid(points)
+        reference = [eval_kernel(spec, v, locs) @ wts for v in y]
+        np.testing.assert_allclose(mixture_density(spec, locs, wts, y),
+                                   reference, rtol=1e-12)
+        assert peak_traced_mb(mixture_density, spec, locs, wts, y) < 2.0
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0, 1e4])
     def test_series_keeps_ratios_down_to_tolerance(self, kappa):
