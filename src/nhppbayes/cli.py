@@ -7,9 +7,17 @@ gates), and ``figure1`` (a one-shot shrinkage-vs-non-shrinkage estimate
 comparison on a fixed ten-point pattern).
 
 Exit codes: 0 success / gate passed, 1 gate failed, 2 configuration error,
-3 chain diagnostic failure.  Every command echoes its fully resolved
-configuration so a run can be reproduced byte for byte; the seed falls back
-to the NHPP_SEED environment variable when no flag is given.
+3 chain diagnostic failure.
+
+Each option's default and type sit in its ``add_argument`` call, and
+argparse applies them.  Every command first prints a ``resolved-config:``
+line that lists every option of its subcommand, defaults included.  A JSON
+file passed with ``--config`` holds option values under the names that line
+echoes; an unknown key, or a value its option cannot parse, exits 2.  The
+file's values become the subcommand's defaults, so flags override them, and
+the echoed line fed back through ``--config`` reproduces the run byte for
+byte.  ``--seed`` defaults to the NHPP_SEED environment variable, else 0, so
+the order is flag, config file, NHPP_SEED, 0.
 """
 
 from __future__ import annotations
@@ -75,72 +83,14 @@ def parse_window(text: str) -> Window:
         raise CliError(f"bad window {text!r}: {exc}")
 
 
-def resolve_seed(args, file_cfg) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get("NHPP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"NHPP_SEED is not an integer: {env!r}")
-    return 0
-
-
-def load_config_file(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    try:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {args.config}: {exc}")
-    if not isinstance(obj, dict):
-        raise CliError("config file must hold a JSON object")
-    return obj
-
-
-def resolve(args) -> dict:
-    """Merge defaults, config file, and flags (flags win); echo the result.
-
-    The keys are the subcommand's own option names.  Feeding the echoed JSON
-    back through --config reproduces the run.
-    """
-    file_cfg = load_config_file(args)
-    out = {}
-    for key, flag_val in vars(args).items():
-        if key in ("seed", "config", "command", "func"):
-            continue
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-    out["seed"] = resolve_seed(args, file_cfg)
-    print("resolved-config:", json.dumps(out, sort_keys=True, default=str))
-    return out
-
-
-def build_mcmc_config(cfg: dict) -> McmcConfig:
-    return McmcConfig(
-        burn_in=int(cfg.get("burn_in", 2000)),
-        samples=int(cfg.get("samples", 2000)),
-        thin=int(cfg.get("thin", 5)),
-    )
-
-
 def cmd_simulate(args) -> int:
-    cfg = resolve(args)
-    window = parse_window(cfg.get("window", "circle"))
-    model = named_intensity(cfg.get("intensity", "sine2"), window)
-    exposure = float(cfg.get("exposure", 1.0))
-    if exposure <= 0:
+    window = parse_window(args.window)
+    model = named_intensity(args.intensity, window)
+    if args.exposure <= 0:
         raise CliError("exposure must be positive")
-    pattern = sample_nhpp(model, exposure, RngStream(cfg["seed"]))
-    out = cfg.get("out", "pattern.csv")
-    pattern.to_csv(out)
-    print(f"N={pattern.count} seed={cfg['seed']} out={out}")
+    pattern = sample_nhpp(model, args.exposure, RngStream(args.seed))
+    pattern.to_csv(args.out)
+    print(f"N={pattern.count} seed={args.seed} out={args.out}")
     return EXIT_OK
 
 
@@ -151,57 +101,47 @@ def _load_pattern(path, window: Window) -> PointPattern:
         raise CliError(f"cannot load pattern {path}: {exc}")
 
 
-def _build_kernel(cfg: dict, window: Window) -> KernelSpec:
-    kind = cfg.get("kernel", "von_mises")
-    try:
-        if kind == "von_mises":
-            return KernelSpec.von_mises(float(cfg.get("kappa", 5.0)), window)
-        if kind == "gaussian":
-            return KernelSpec.gaussian(float(cfg.get("sigma", 1.0)), window)
-    except ModelError as exc:
-        raise CliError(str(exc))
-    raise CliError(f"unknown kernel {kind!r}")
+def _build_kernel(args, window: Window) -> KernelSpec:
+    if args.kernel == "von_mises":
+        return KernelSpec.von_mises(args.kappa, window)
+    if args.kernel == "gaussian":
+        return KernelSpec.gaussian(args.sigma, window)
+    raise CliError(f"unknown kernel {args.kernel!r}")
 
 
-def _gammas(cfg: dict, prior_mass: float):
-    gammas = [float(g) for g in cfg.get("gamma", [])] or [0.0]
-    if cfg.get("shrink"):
-        gammas.append(prior_mass - 1.0)
-    seen = []
-    for g in gammas:
-        if g not in seen:
-            seen.append(g)
-    return seen
+def _gammas(args, prior_mass: float) -> list:
+    gammas = args.gamma + ([prior_mass - 1.0] if args.shrink else [])
+    if not gammas:
+        raise CliError("estimate needs a --gamma or --shrink")
+    return list(dict.fromkeys(gammas))
 
 
 def cmd_estimate(args) -> int:
-    cfg = resolve(args)
-    window = parse_window(cfg.get("window", "circle"))
-    pattern = _load_pattern(cfg["pattern"], window)
-    kernel = _build_kernel(cfg, window)
+    window = parse_window(args.window)
+    pattern = _load_pattern(args.pattern, window)
+    kernel = _build_kernel(args, window)
     prior = PriorSpec.uniform_unit(window)
-    gammas = _gammas(cfg, prior.total_mass_alpha)
-    s = float(cfg.get("s", 1.0))
-    mcmc = build_mcmc_config(cfg)
-    summaries = estimate_intensity_multi(pattern, prior, kernel, s, gammas,
-                                         mcmc, RngStream(cfg["seed"]))
+    gammas = _gammas(args, prior.total_mass_alpha)
+    mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
+    summaries = estimate_intensity_multi(pattern, prior, kernel, args.s,
+                                         gammas, mcmc, RngStream(args.seed))
     rate = summaries[0].diagnostics.get("acceptance_rate")
     for summary in summaries:
         print(f"gamma={summary.gamma:g} weight_mean={summary.weight_mean:.6f}")
-    if cfg.get("json"):
-        write_json(cfg["json"], [s.to_json() for s in summaries])
-    if cfg.get("csv"):
-        _write_estimates_csv(cfg["csv"], summaries)
-    if cfg.get("svg"):
+    if args.json:
+        write_json(args.json, [s.to_json() for s in summaries])
+    if args.csv:
+        _write_estimates_csv(args.csv, summaries)
+    if args.svg:
         grid = summaries[0].lambda_bar.grid
         series = []
-        if cfg.get("true_intensity"):
-            truth = named_intensity(cfg["true_intensity"], window)
+        if args.true_intensity:
+            truth = named_intensity(args.true_intensity, window)
             series.append(("true", truth(grid)))
         for summary in summaries:
             series.append((f"gamma={summary.gamma:g}",
                            summary.lambda_hat.values))
-        line_chart(cfg["svg"], grid, series, ticks=pattern.points,
+        line_chart(args.svg, grid, series, ticks=pattern.points,
                    title="intensity estimates", x_label="location",
                    y_label="intensity")
     if rate is not None and rate < MIN_ACCEPTANCE:
@@ -226,31 +166,25 @@ def _write_estimates_csv(path, summaries) -> None:
 
 
 def cmd_predict(args) -> int:
-    cfg = resolve(args)
-    window = parse_window(cfg.get("window", "circle"))
-    pattern = _load_pattern(cfg["pattern"], window)
-    futures = cfg.get("future") or []
-    if not futures:
+    window = parse_window(args.window)
+    pattern = _load_pattern(args.pattern, window)
+    if not args.future:
         raise CliError("predict needs at least one --future pattern")
-    kernel = _build_kernel(cfg, window)
-    prior = PriorSpec.uniform_unit(window, gamma=float(cfg.get("gamma_value", 0.0)))
-    s = float(cfg.get("s", 1.0))
-    t = float(cfg.get("t", 1.0))
-    mcmc = build_mcmc_config(cfg)
-    seed = cfg["seed"]
-    predictive = build_predictive(pattern, prior, kernel, s, t, mcmc,
-                                  RngStream(seed),
-                                  aug_replicates=int(cfg.get("aug_replicates", 8)))
+    kernel = _build_kernel(args, window)
+    prior = PriorSpec.uniform_unit(window, gamma=args.gamma_value)
+    mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
+    predictive = build_predictive(pattern, prior, kernel, args.s, args.t, mcmc,
+                                  RngStream(args.seed),
+                                  aug_replicates=args.aug_replicates)
     rows = []
-    for k, path in enumerate(futures):
+    for k, path in enumerate(args.future):
         future = _load_pattern(path, window)
-        score = predictive.log_score(future, RngStream(seed, 1000 + k))
+        score = predictive.log_score(future, RngStream(args.seed, 1000 + k))
         rows.append((path, future.count, score))
         print(f"{path} M={future.count} log_score={score:.6f}")
-    out = cfg.get("out")
-    if out:
+    if args.out:
         import csv as csvmod
-        with open(out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             writer = csvmod.writer(fh)
             writer.writerow(["pattern", "count", "log_score"])
             for row in rows:
@@ -292,14 +226,12 @@ def _check_lemma3() -> bool:
     return ok
 
 
-def _check_theorem4(cfg: dict) -> bool:
-    abs_alpha = float(cfg.get("abs_alpha", 2.0 * math.pi))
-    tau = float(cfg.get("tau", 1.0))
-    w_points = int(cfg.get("w_points", 20))
-    if w_points < 1:
-        raise CliError(f"need --w-points >= 1, got {w_points}")
-    w_grid = np.geomspace(0.01, 100.0, w_points)
-    report = domination_study(abs_alpha, [(0.0, abs_alpha - 1.0)], w_grid, tau)
+def _check_theorem4(args) -> bool:
+    if args.w_points < 1:
+        raise CliError(f"need --w-points >= 1, got {args.w_points}")
+    w_grid = np.geomspace(0.01, 100.0, args.w_points)
+    report = domination_study(args.abs_alpha, [(0.0, args.abs_alpha - 1.0)],
+                              w_grid, args.tau)
     for note in report.notes:
         print("note:", note)
     if not report.entries:
@@ -309,23 +241,20 @@ def _check_theorem4(cfg: dict) -> bool:
         print(f"{entry.label}: {entry.estimate:.8g}")
     positive = all(e.estimate > 0 for e in report.entries)
     print("all positive" if positive else "nonpositive value found")
-    if cfg.get("out"):
-        report.to_csv(cfg["out"])
+    if args.out:
+        report.to_csv(args.out)
     return positive
 
 
-def _check_theorem3(cfg: dict, seed: int) -> bool:
+def _check_theorem3(args) -> bool:
     window = Window.circle()
     true_model = named_intensity("sine2", window)
-    kernel = KernelSpec.von_mises(float(cfg.get("kappa", 5.0)), window)
+    kernel = KernelSpec.von_mises(args.kappa, window)
     prior = PriorSpec.uniform_unit(window, gamma=window.length - 1.0)
-    mcmc = McmcConfig(burn_in=int(cfg.get("burn_in", 100)),
-                      samples=int(cfg.get("samples", 100)), thin=1)
+    mcmc = McmcConfig(args.burn_in, args.samples, thin=1)
     check = integral_representation_check(
-        true_model, prior, kernel, float(cfg.get("s", 1.0)),
-        float(cfg.get("t", 1.0)), int(cfg.get("replications", 200)), mcmc,
-        RngStream(seed), nodes=int(cfg.get("nodes", 8)),
-        grid_size=int(cfg.get("grid_size", 512)))
+        true_model, prior, kernel, args.s, args.t, args.replications, mcmc,
+        RngStream(args.seed), nodes=args.nodes, grid_size=args.grid_size)
     print(f"predictive risk: {check.predictive.estimate:.5f} "
           f"+- {check.predictive.std_error:.5f}")
     print(f"integral of estimation risks: {check.integral:.5f} "
@@ -336,33 +265,31 @@ def _check_theorem3(cfg: dict, seed: int) -> bool:
 
 
 def cmd_risk(args) -> int:
-    cfg = resolve(args)
-    if cfg.get("study"):
-        return _run_study(cfg)
-    check = cfg.get("check")
-    if check == "lemma1":
+    if args.study:
+        return _run_study(args)
+    if args.check == "lemma1":
         passed = _check_lemma1()
-    elif check == "lemma3":
+    elif args.check == "lemma3":
         passed = _check_lemma3()
-    elif check == "theorem4":
-        passed = _check_theorem4(cfg)
-    elif check == "theorem3":
-        passed = _check_theorem3(cfg, cfg["seed"])
+    elif args.check == "theorem4":
+        passed = _check_theorem4(args)
+    elif args.check == "theorem3":
+        passed = _check_theorem3(args)
     else:
         raise CliError("risk needs --check lemma1|lemma3|theorem3|theorem4 "
                        "or --study FILE")
     return EXIT_OK if passed else EXIT_GATE
 
 
-def _run_study(cfg: dict) -> int:
+def _run_study(args) -> int:
     try:
-        with open(cfg["study"]) as fh:
+        with open(args.study) as fh:
             study = json.load(fh)
         kind = study["kind"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"malformed study spec: {exc}")
     window = Window.circle()
-    seed = cfg["seed"]
+    seed = args.seed
     if kind == "domination":
         report = domination_study(
             float(study.get("abs_alpha", 2.0 * math.pi)),
@@ -382,17 +309,18 @@ def _run_study(cfg: dict) -> int:
                 true_model, prior, kernel, float(study.get("s", 1.0)), reps,
                 mcmc, RngStream(seed),
                 gammas=study.get("gammas", [0.0, window.length - 1.0]),
-                grid_size=int(study.get("grid_size", 512)),
-                keep_losses=False)
+                grid_size=int(study.get("grid_size", 512)))
         else:
             report = predictive_risk_mc(
                 true_model,
                 prior.with_gamma(float(study.get("gamma", 0.0))), kernel,
                 float(study.get("s", 1.0)), float(study.get("t", 1.0)), reps,
-                mcmc, RngStream(seed), keep_losses=False)
+                mcmc, RngStream(seed))
     else:
         raise CliError(f"unknown study kind {kind!r}")
-    out = cfg.get("out", "risk_report.csv")
+    # --out has no default because --check theorem4 writes a report only
+    # when it is given; a study always writes one
+    out = args.out or "risk_report.csv"
     report.to_csv(out)
     write_json(os.path.splitext(out)[0] + ".json", report.to_json_obj())
     for entry in report.entries:
@@ -403,19 +331,17 @@ def _run_study(cfg: dict) -> int:
 
 
 def cmd_figure1(args) -> int:
-    cfg = resolve(args)
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     window = Window.circle()
     pattern = PointPattern(window, np.asarray(FIGURE1_POINTS))
     pattern.to_csv(os.path.join(out_dir, "figure1_pattern.csv"))
-    kernel = KernelSpec.von_mises(float(cfg.get("kappa", 5.0)), window)
+    kernel = KernelSpec.von_mises(args.kappa, window)
     prior = PriorSpec.uniform_unit(window)
     gammas = [0.0, prior.total_mass_alpha - 1.0]
-    mcmc = build_mcmc_config(cfg)
-    summaries = estimate_intensity_multi(pattern, prior, kernel,
-                                         float(cfg.get("s", 1.0)), gammas,
-                                         mcmc, RngStream(cfg["seed"]))
+    mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
+    summaries = estimate_intensity_multi(pattern, prior, kernel, args.s,
+                                         gammas, mcmc, RngStream(args.seed))
     for summary in summaries:
         print(f"gamma={summary.gamma:g} weight_mean={summary.weight_mean:.6f}")
     _write_estimates_csv(os.path.join(out_dir, "figure1_estimates.csv"),
@@ -432,6 +358,59 @@ def cmd_figure1(args) -> int:
     return EXIT_OK
 
 
+class _Append(argparse.Action):
+    """A repeatable flag: the values given replace the default list."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is self.default else items
+        setattr(namespace, self.dest, items + [value])
+
+
+class _Config(argparse.Action):
+    """``--config FILE``: the file's values become the subcommand's defaults.
+
+    Defaults take effect at the start of a parse, so ``main`` parses again
+    after this has run; flags on the command line still win.  Each value, or
+    each element of a list, goes through its option's ``type`` as a string,
+    exactly as a flag's value does.  ``null`` keeps the option's own default.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                values = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise argparse.ArgumentError(self, f"cannot read {path}: {exc}")
+        if not isinstance(values, dict):
+            raise argparse.ArgumentError(self, f"{path} must hold a JSON object")
+        options = {a.dest: a for a in parser._actions
+                   if a.dest not in ("help", "config")}
+        for key in values:
+            if key not in options:
+                raise argparse.ArgumentError(self, f"unknown config key {key!r}")
+        parser.set_defaults(**{key: self._default(options[key], key, value)
+                               for key, value in values.items()
+                               if value is not None})
+        setattr(namespace, self.dest, path)
+
+    def _default(self, option, key, value):
+        convert = option.type or str
+        try:
+            if option.nargs == 0:               # a store_true switch
+                if isinstance(value, bool):
+                    return value
+            elif isinstance(option, _Append):
+                if isinstance(value, list):
+                    return [convert(str(v)) for v in value]
+            elif not isinstance(value, (list, dict)):
+                return convert(str(value))
+        except ValueError:
+            pass
+        raise argparse.ArgumentError(
+            self, f"config key {key!r} cannot take the value {value!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhppbayes",
@@ -440,32 +419,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (falls back to NHPP_SEED, then 0)")
-        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("NHPP_SEED", "0"),
+                       help="random seed (default: NHPP_SEED, else 0)")
+        p.add_argument("--config", action=_Config,
+                       help="JSON file of option values; flags override it")
+
+    def fit(p):
+        p.add_argument("--kappa", type=float, default=5.0)
+        p.add_argument("--s", type=float, default=1.0,
+                       help="exposure of the observed pattern")
+
+    def model(p):
+        p.add_argument("--window", default="circle", help="'circle' or 'a,b'")
+        p.add_argument("--kernel", choices=["von_mises", "gaussian"],
+                       default="von_mises")
+        p.add_argument("--sigma", type=float, default=1.0)
+
+    def chain(p):
+        p.add_argument("--burn-in", dest="burn_in", type=int, default=2000)
+        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--thin", type=int, default=5)
 
     p = sub.add_parser("simulate", help="sample a point pattern")
     common(p)
-    p.add_argument("--intensity", help="sine2 or const:VALUE")
-    p.add_argument("--exposure", type=float)
-    p.add_argument("--window", help="'circle' or 'a,b'")
-    p.add_argument("--out")
+    p.add_argument("--intensity", default="sine2", help="sine2 or const:VALUE")
+    p.add_argument("--exposure", type=float, default=1.0)
+    p.add_argument("--window", default="circle", help="'circle' or 'a,b'")
+    p.add_argument("--out", default="pattern.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="posterior-mean intensity estimates")
     common(p)
+    model(p)
+    fit(p)
+    chain(p)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--window")
-    p.add_argument("--kernel", choices=["von_mises", "gaussian"])
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--gamma", type=float, action="append")
-    p.add_argument("--shrink", action="store_true", default=None,
+    p.add_argument("--gamma", type=float, action=_Append, default=[0.0],
+                   help="shrinkage exponent; repeat for several")
+    p.add_argument("--shrink", action="store_true",
                    help="also estimate with gamma = |alpha| - 1")
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--thin", type=int)
     p.add_argument("--json")
     p.add_argument("--csv")
     p.add_argument("--svg")
@@ -474,50 +467,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="log scores of future patterns")
     common(p)
+    model(p)
+    fit(p)
+    chain(p)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--future", action="append")
-    p.add_argument("--window")
-    p.add_argument("--kernel", choices=["von_mises", "gaussian"])
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--gamma", dest="gamma_value", type=float)
-    p.add_argument("--aug-replicates", dest="aug_replicates", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--thin", type=int)
+    p.add_argument("--future", action=_Append, default=[],
+                   help="future pattern to score; repeat for several")
+    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--gamma", dest="gamma_value", type=float, default=0.0)
+    p.add_argument("--aug-replicates", dest="aug_replicates", type=int,
+                   default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("risk", help="risk studies and verification gates")
     common(p)
+    fit(p)
     p.add_argument("--check",
                    choices=["lemma1", "lemma3", "theorem3", "theorem4"])
     p.add_argument("--study", help="JSON study description")
-    p.add_argument("--abs-alpha", dest="abs_alpha", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--w-points", dest="w_points", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
+    p.add_argument("--abs-alpha", dest="abs_alpha", type=float,
+                   default=2.0 * math.pi)
+    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--w-points", dest="w_points", type=int, default=20)
+    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--nodes", type=int, default=8)
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--grid-size", dest="grid_size", type=int, default=512)
     p.add_argument("--out")
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("figure1",
                        help="shrinkage comparison on the fixed ten-point pattern")
     common(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--thin", type=int)
+    fit(p)
+    chain(p)
+    p.add_argument("--out-dir", dest="out_dir", default=".")
     p.set_defaults(func=cmd_figure1)
 
     return parser
@@ -527,6 +514,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse has printed its help or usage error
+        return exc.code
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "func", "config")}
+    print("resolved-config:", json.dumps(options, sort_keys=True))
+    try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,18 +104,6 @@ class Window:
         """Representation grid (same node layout as quad_nodes)."""
         return self.quad_nodes(n)[0]
 
-    def to_json(self) -> dict:
-        if self.is_circle:
-            return {"kind": "circle"}
-        return {"kind": "interval", "bounds": [self.a, self.b]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Window":
-        if obj["kind"] == "circle":
-            return cls.circle()
-        a, b = obj["bounds"]
-        return cls.interval(a, b)
-
 
 def quadrature(f: Callable, window: Window, n: int = QUAD_NODES) -> float:
     """Integrate f over the window with the composite trapezoid rule."""
@@ -218,24 +206,20 @@ class PointPattern:
                 raise ModelError(f"{path}: expected CSV header 'location'")
             for row in reader:
                 if row:
-                    locations.append(float(row[0]))
+                    try:
+                        locations.append(float(row[0]))
+                    except ValueError:
+                        raise ModelError(f"{path}, line {reader.line_num}: "
+                                         f"location {row[0]!r} is not a number")
         return cls(window or Window.circle(), np.asarray(locations))
-
-    def to_json(self) -> dict:
-        return {"window": self.window.to_json(),
-                "points": [float(x) for x in self.points]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PointPattern":
-        return cls(Window.from_json(obj["window"]), np.asarray(obj["points"]))
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Function values on a window grid with linear interpolation.
+    """Function values on a window grid.
 
-    Circle grids are periodic (node j at j*2*pi/n, interpolation wraps);
-    interval grids include both endpoints.
+    Circle grids are periodic (node j at j*2*pi/n); interval grids include
+    both endpoints.
     """
 
     window: Window
@@ -251,17 +235,6 @@ class GridDensity:
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.window.is_circle:
-            n = self.grid.size
-            h = TWO_PI / n
-            pos = np.mod(y, TWO_PI) / h
-            idx = np.floor(pos).astype(int) % n
-            frac = pos - np.floor(pos)
-            return (1.0 - frac) * self.values[idx] + frac * self.values[(idx + 1) % n]
-        return np.interp(y, self.grid, self.values)
 
     def integral(self) -> float:
         if self.window.is_circle:

@@ -142,18 +142,6 @@ class KernelSpec:
         """Log of the kernel normalizing constant."""
         return self._log_norm
 
-    def to_json(self) -> dict:
-        if self.kind == "von_mises":
-            return {"kind": "von_mises", "kappa": self.kappa}
-        return {"kind": "gaussian", "sigma": self.sigma,
-                "window": self.window.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KernelSpec":
-        if obj["kind"] == "von_mises":
-            return cls.von_mises(obj["kappa"])
-        return cls.gaussian(obj["sigma"], Window.from_json(obj["window"]))
-
 
 def eval_kernel(spec: KernelSpec, y, u):
     """Kernel density k(y, u); symmetric in its arguments, broadcasting."""

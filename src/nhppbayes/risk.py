@@ -216,12 +216,10 @@ class RiskReport:
                                  e.replications])
 
 
-def _entry_from_losses(label: str, losses: np.ndarray,
-                       keep_losses: bool = True, **meta) -> RiskEntry:
+def _entry_from_losses(label: str, losses: np.ndarray, **meta) -> RiskEntry:
     n = losses.size
     se = float(np.std(losses, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return RiskEntry(label, float(np.mean(losses)), se, n,
-                     losses if keep_losses else None, meta)
+    return RiskEntry(label, float(np.mean(losses)), se, n, losses, meta)
 
 
 def replication_stream(base: RngStream, rep: int) -> RngStream:
@@ -233,8 +231,7 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
                        kernel: KernelSpec, s: float, replications: int,
                        config: McmcConfig, rng: RngStream,
                        gammas: Optional[Sequence[float]] = None,
-                       t: float = 1.0, grid_size: int = 1024,
-                       keep_losses: bool = True) -> RiskReport:
+                       t: float = 1.0, grid_size: int = 1024) -> RiskReport:
     """Monte Carlo risk of the posterior-mean intensity estimator.
 
     Per replication: sample a pattern with exposure s, estimate the
@@ -260,15 +257,13 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
                                           pattern.count, s)
             losses[gi, rep] = _kl_from_values(true_vals, w_hat * lam_bar.values,
                                               weights, t)
-    entries = [_entry_from_losses(f"gamma={g:g}", losses[gi], keep_losses,
-                                  gamma=g, s=s, t=t)
+    entries = [_entry_from_losses(f"gamma={g:g}", losses[gi], gamma=g, s=s, t=t)
                for gi, g in enumerate(gammas)]
     for gi in range(len(gammas)):
         for gj in range(gi + 1, len(gammas)):
             diff = losses[gi] - losses[gj]
             entries.append(_entry_from_losses(
-                f"diff:gamma={gammas[gi]:g}-gamma={gammas[gj]:g}", diff,
-                keep_losses))
+                f"diff:gamma={gammas[gi]:g}-gamma={gammas[gj]:g}", diff))
     return RiskReport(entries)
 
 
@@ -281,7 +276,9 @@ def predictive_risk_mc(true_model: IntensityModel, prior: PriorSpec,
 
     Per replication: observe a pattern with exposure s and a future pattern
     with exposure t, both from the true intensity, and accumulate
-    log p_true(future) minus the predictive log score.
+    log p_true(future) minus the predictive log score.  The losses are
+    always kept; ``keep_losses`` has no effect and is accepted only because
+    ``bench/workloads.py`` still passes it.
     """
     if replications < 1:
         raise ModelError("need at least one replication")
@@ -300,7 +297,7 @@ def predictive_risk_mc(true_model: IntensityModel, prior: PriorSpec,
                                                  aug_replicates)
         losses[rep] = log_true - score
     entry = _entry_from_losses(f"predictive:gamma={prior.gamma:g}", losses,
-                               keep_losses, s=s, t=t)
+                               s=s, t=t)
     return RiskReport([entry])
 
 
@@ -346,8 +343,7 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
         node_rng = RngStream(derive_seed(rng.seed, rng.stream_id, 101, i), 0)
         report = estimation_risk_mc(true_model, prior, kernel, float(tau),
                                     replications, config, node_rng,
-                                    t=1.0, grid_size=grid_size,
-                                    keep_losses=False)
+                                    t=1.0, grid_size=grid_size)
         entry = report.entries[0]
         entry.label = f"estimation:tau={tau:.6f}"
         node_entries.append(entry)
@@ -357,7 +353,7 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
     pred_rng = RngStream(derive_seed(rng.seed, rng.stream_id, 202), 0)
     pred_report = predictive_risk_mc(true_model, prior, kernel, s, t,
                                      replications, config, pred_rng,
-                                     aug_replicates, keep_losses=False)
+                                     aug_replicates)
     pred = pred_report.entries[0]
     gap = abs(pred.estimate - integral)
     gate = 3.0 * (pred.std_error + integral_se)
@@ -372,8 +368,11 @@ def domination_study(abs_alpha: float, gamma_pairs: Sequence,
     Every pair must satisfy |alpha| - gamma > 1 with gamma_tilde =
     |alpha| - 1; violations are reported in the notes rather than raised.
     A strictly positive table certifies domination of the gamma prior by the
-    gamma_tilde prior at the tabulated weights.
+    gamma_tilde prior at the tabulated weights, so an empty ``w_grid``, which
+    would certify nothing, is an error.
     """
+    if len(w_grid) == 0:
+        raise ModelError("domination study needs at least one weight in w_grid")
     entries = []
     notes = []
     for gamma, gamma_tilde in gamma_pairs:

@@ -63,11 +63,13 @@ class TestSimulate:
         assert "error" in err
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NHPP_SEED", "99")
-        code, out, _ = run(["simulate", "--intensity", "sine2", "--out",
-                            str(tmp_path / "p.csv")], capsys)
-        assert code == 0
-        assert "seed=99" in out
+        for env, code, shown in [("99", 0, "seed=99"),
+                                 ("abc", 2, "invalid int value: 'abc'")]:
+            monkeypatch.setenv("NHPP_SEED", env)
+            got, out, err = run(["simulate", "--intensity", "sine2", "--out",
+                                 str(tmp_path / "p.csv")], capsys)
+            assert got == code
+            assert shown in out + err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -81,18 +83,31 @@ class TestSimulate:
         assert echoed["exposure"] == 2.0           # file value survives
 
     def test_echoed_config_reproduces_run(self, tmp_path, capsys):
-        first = tmp_path / "first.csv"
-        code, out, _ = run(["simulate", "--intensity", "sine2", "--exposure",
-                            "1.5", "--seed", "21", "--out", str(first)],
-                           capsys)
-        assert code == 0
-        echoed = json.loads(out.splitlines()[0].split("resolved-config: ")[1])
-        echoed["out"] = str(tmp_path / "second.csv")
-        cfg = tmp_path / "echo.json"
-        cfg.write_text(json.dumps(echoed))
-        assert main(["simulate", "--config", str(cfg)]) == 0
-        capsys.readouterr()
-        assert first.read_bytes() == (tmp_path / "second.csv").read_bytes()
+        # the echo lists the defaults too, a repeated flag replaces its
+        # default list, and --pattern stays a flag
+        pattern = tmp_path / "pattern.csv"
+        pattern.write_text("location\n0.5\n2.0\n2.1\n")
+        runs = [("simulate", [], ["--intensity", "sine2", "--exposure", "1.5"],
+                 "out", {"window": "circle"}),
+                ("estimate", ["--pattern", str(pattern)],
+                 ["--gamma", "0.5", "--shrink", "--burn-in", "20",
+                  "--samples", "10"], "csv",
+                 {"kappa": 5.0, "kernel": "von_mises", "thin": 5,
+                  "json": None, "gamma": [0.5]})]
+        for command, kept, flags, out_key, shown in runs:
+            first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+            code, out, _ = run([command, *kept, *flags, "--seed", "21",
+                                f"--{out_key}", str(first)], capsys)
+            assert code == 0
+            echoed = json.loads(
+                out.splitlines()[0].split("resolved-config: ")[1])
+            assert shown.items() <= echoed.items()
+            echoed[out_key] = str(second)
+            cfg = tmp_path / "echo.json"
+            cfg.write_text(json.dumps(echoed))
+            assert main([command, *kept, "--config", str(cfg)]) == 0
+            capsys.readouterr()
+            assert first.read_bytes() == second.read_bytes()
 
 
 class TestEstimate:
@@ -128,9 +143,13 @@ class TestEstimate:
         assert len(est) == 2
 
     def test_missing_pattern_exits_2(self, tmp_path, capsys):
-        code, _, err = run(["estimate", "--pattern",
-                            str(tmp_path / "nope.csv")], capsys)
-        assert code == 2
+        missing, bad = tmp_path / "nope.csv", tmp_path / "bad.csv"
+        bad.write_text("location\n1.0\nabc\n")
+        for path, shown in [(missing, "nope.csv"), (bad, f"{bad}, line 3")]:
+            for argv in (["estimate"], ["predict", "--future", str(path)]):
+                code, _, err = run(argv + ["--pattern", str(path)], capsys)
+                assert code == 2
+                assert shown in err
 
     def test_byte_identical_rerun(self, pattern_file, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -201,10 +220,15 @@ class TestRisk:
         assert code == 2
 
     def test_malformed_study_exits_2(self, tmp_path, capsys):
+        # an empty w_grid would certify nothing, so it is an error too
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, _ = run(["risk", "--study", str(bad)], capsys)
-        assert code == 2
+        for spec in ["{not json", '{"kind": "domination", "w_grid": []}']:
+            bad.write_text(spec)
+            code, _, err = run(["risk", "--study", str(bad), "--out",
+                                str(tmp_path / "report.csv")], capsys)
+            assert code == 2
+            assert "error:" in err
+            assert not (tmp_path / "report.csv").exists()
 
     def test_domination_study_file(self, tmp_path, capsys):
         spec = tmp_path / "study.json"
@@ -276,3 +300,25 @@ def test_bad_input_exits_2(argv, tmp_path, capsys, no_chain):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"kapa": 3}, "'kapa'"),
+    ({"command": "estimate"}, "'command'"),
+    ({"func": "cmd_estimate"}, "'func'"),
+    ({"config": "other.json"}, "'config'"),
+    ({"kappa": "abc"}, "'kappa'"),
+    ({"gamma": ["abc"]}, "'gamma'"),
+    ({"gamma": 1.0}, "'gamma'"),
+    ({"shrink": "yes"}, "'shrink'"),
+    ({"burn_in": [10]}, "'burn_in'"),
+], ids=str)
+def test_bad_config_exits_2(config, named, tmp_path, capsys, no_chain):
+    # a usage error from argparse, before the echo and before any chain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(["estimate", "--pattern", str(tmp_path / "p.csv"),
+                          "--config", str(cfg)], capsys)
+    assert code == 2
+    assert named in err
+    assert out == ""

@@ -1,4 +1,3 @@
-import json
 import math
 import types
 
@@ -29,10 +28,6 @@ class TestWindow:
         w = Window.circle()
         assert w.wrap(TWO_PI + 0.5) == pytest.approx(0.5)
         assert np.allclose(w.wrap(np.array([-0.5])), TWO_PI - 0.5)
-
-    def test_json_roundtrip(self):
-        for w in (Window.circle(), Window.interval(-1.0, 3.0)):
-            assert Window.from_json(w.to_json()) == w
 
 
 class TestQuadrature:
@@ -71,12 +66,6 @@ class TestPointPattern:
         header = path.read_text().splitlines()[0]
         assert header == "location"
         q = PointPattern.from_csv(path, circle)
-        np.testing.assert_array_equal(p.points, q.points)
-
-    def test_json_roundtrip(self, circle):
-        p = PointPattern(circle, [0.29, 1.55])
-        q = PointPattern.from_json(json.loads(json.dumps(p.to_json())))
-        assert q.window == circle
         np.testing.assert_array_equal(p.points, q.points)
 
     def test_empty(self, circle):
@@ -133,14 +122,6 @@ class TestValidate:
 
 
 class TestGridDensity:
-    def test_periodic_interpolation(self, circle):
-        grid = circle.grid(8)
-        g = GridDensity(circle, grid, np.cos(grid))
-        # halfway between the last node and the wrap-around first node
-        mid = grid[-1] + (TWO_PI / 8) / 2
-        expected = 0.5 * (math.cos(grid[-1]) + math.cos(grid[0]))
-        assert g(mid) == pytest.approx(expected, rel=1e-12)
-
     def test_integral_constant(self, circle):
         grid = circle.grid(64)
         g = GridDensity(circle, grid, np.full(64, 1.0 / TWO_PI))

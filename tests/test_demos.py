@@ -11,10 +11,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+# The slowest demo, 04, takes about 21 s on a 2-core host; a hung demo fails
+# its test at this limit instead of stalling the whole run.
+TIMEOUT_S = 120
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # demo 01 writes demo_pattern.csv into its working directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr

@@ -298,14 +298,3 @@ class TestMixture:
         ns = [n for n in exact if n <= kept]
         np.testing.assert_allclose(rho[np.array(ns, dtype=int) - 1],
                                    [exact[n] for n in ns], rtol=1e-14)
-
-
-class TestSerialization:
-    def test_von_mises_json(self, vm5):
-        obj = vm5.to_json()
-        assert obj == {"kind": "von_mises", "kappa": 5.0}
-        assert KernelSpec.from_json(obj) == vm5
-
-    def test_gaussian_json(self):
-        spec = KernelSpec.gaussian(0.3, Window.interval(0, 4))
-        assert KernelSpec.from_json(spec.to_json()) == spec
