@@ -2,9 +2,9 @@
 
 Subcommands: ``simulate`` (draw a pattern), ``estimate`` (posterior-mean
 intensity for one or more shrinkage exponents), ``predict`` (log scores of
-future patterns), ``risk`` (Monte Carlo studies and named verification
-gates), and ``figure1`` (a one-shot shrinkage-vs-non-shrinkage estimate
-comparison on a fixed ten-point pattern).
+future patterns), ``risk`` (named verification gates and Monte Carlo risk
+studies), and ``figure1`` (``estimate`` on a fixed ten-point pattern,
+comparing the shrinkage and non-shrinkage estimates).
 
 Exit codes: 0 success / gate passed, 1 gate failed, 2 configuration error,
 3 chain diagnostic failure.
@@ -18,11 +18,26 @@ file's values become the subcommand's defaults, so flags override them, and
 the echoed line fed back through ``--config`` reproduces the run byte for
 byte.  ``--seed`` defaults to the NHPP_SEED environment variable, else 0, so
 the order is flag, config file, NHPP_SEED, 0.
+
+``risk --check KIND`` names the run, and so does a config file's ``kind``
+key: a study file is a ``risk`` config file, and ``--study`` is a second
+name for ``--config``.  ``lemma1`` and ``lemma3`` read no option.
+``theorem3`` reads intensity, kappa, s, t, replications, burn_in, samples
+and seed, with nodes and grid_size, at the prior gamma 2 pi - 1 (the
+uniform base's |alpha| - 1); ``predictive`` reads the same eight with gamma,
+and ``estimation`` with gamma and grid_size, reporting gamma beside
+2 pi - 1.  ``theorem4`` and ``domination`` tabulate the pair
+(gamma, abs_alpha - 1) over w_grid at abs_alpha and tau.  The three studies
+write a CSV report to ``--out`` (default ``risk_report.csv``) and a JSON one
+beside it; ``theorem4`` writes the CSV only when ``--out`` is given.  The
+study keys ``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are
+retired for ``--gamma`` and ``--w-grid``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,8 +82,6 @@ def named_intensity(name: str, window: Window) -> IntensityModel:
             value = float(name.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad constant intensity {name!r}")
-        if value <= 0:
-            raise CliError("constant intensity must be positive")
         return IntensityModel.constant(window, value)
     raise CliError(f"unknown intensity {name!r} (use sine2 or const:VALUE)")
 
@@ -86,8 +99,6 @@ def parse_window(text: str) -> Window:
 def cmd_simulate(args) -> int:
     window = parse_window(args.window)
     model = named_intensity(args.intensity, window)
-    if args.exposure <= 0:
-        raise CliError("exposure must be positive")
     pattern = sample_nhpp(model, args.exposure, RngStream(args.seed))
     pattern.to_csv(args.out)
     print(f"N={pattern.count} seed={args.seed} out={args.out}")
@@ -102,11 +113,9 @@ def _load_pattern(path, window: Window) -> PointPattern:
 
 
 def _build_kernel(args, window: Window) -> KernelSpec:
-    if args.kernel == "von_mises":
-        return KernelSpec.von_mises(args.kappa, window)
     if args.kernel == "gaussian":
         return KernelSpec.gaussian(args.sigma, window)
-    raise CliError(f"unknown kernel {args.kernel!r}")
+    return KernelSpec.von_mises(args.kappa, window)
 
 
 def _gammas(args, prior_mass: float) -> list:
@@ -117,8 +126,13 @@ def _gammas(args, prior_mass: float) -> list:
 
 
 def cmd_estimate(args) -> int:
-    window = parse_window(args.window)
-    pattern = _load_pattern(args.pattern, window)
+    pattern = _load_pattern(args.pattern, parse_window(args.window))
+    return _estimate(args, pattern, "intensity estimates")
+
+
+def _estimate(args, pattern: PointPattern, title: str) -> int:
+    """Estimate on ``pattern``, print the weight means, write the files."""
+    window = pattern.window
     kernel = _build_kernel(args, window)
     prior = PriorSpec.uniform_unit(window)
     gammas = _gammas(args, prior.total_mass_alpha)
@@ -141,9 +155,8 @@ def cmd_estimate(args) -> int:
         for summary in summaries:
             series.append((f"gamma={summary.gamma:g}",
                            summary.lambda_hat.values))
-        line_chart(args.svg, grid, series, ticks=pattern.points,
-                   title="intensity estimates", x_label="location",
-                   y_label="intensity")
+        line_chart(args.svg, grid, series, ticks=pattern.points, title=title,
+                   x_label="location", y_label="intensity")
     if rate is not None and rate < MIN_ACCEPTANCE:
         print(f"diagnostic failure: acceptance rate {rate:.3f} below "
               f"{MIN_ACCEPTANCE}", file=sys.stderr)
@@ -192,7 +205,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _check_lemma1() -> bool:
+def _check_lemma1(_args) -> bool:
     grids = [0.5, 2.0, 10.0]
     functions = [("n", lambda n: n.astype(float)),
                  ("n^2", lambda n: n.astype(float) ** 2),
@@ -210,7 +223,7 @@ def _check_lemma1() -> bool:
     return worst <= 1e-6
 
 
-def _check_lemma3() -> bool:
+def _check_lemma3(_args) -> bool:
     thetas = np.geomspace(0.01, 50.0, 20)
     cs = np.geomspace(0.1, 10.0, 10)
     ok = True
@@ -227,16 +240,9 @@ def _check_lemma3() -> bool:
 
 
 def _check_theorem4(args) -> bool:
-    if args.w_points < 1:
-        raise CliError(f"need --w-points >= 1, got {args.w_points}")
-    w_grid = np.geomspace(0.01, 100.0, args.w_points)
-    report = domination_study(args.abs_alpha, [(0.0, args.abs_alpha - 1.0)],
-                              w_grid, args.tau)
+    report = _domination_study(args)
     for note in report.notes:
         print("note:", note)
-    if not report.entries:
-        print("empty study")
-        return False
     for entry in report.entries:
         print(f"{entry.label}: {entry.estimate:.8g}")
     positive = all(e.estimate > 0 for e in report.entries)
@@ -246,15 +252,21 @@ def _check_theorem4(args) -> bool:
     return positive
 
 
-def _check_theorem3(args) -> bool:
+def _harness(args) -> tuple:
+    """The truth, kernel, uniform prior and chain of a Monte Carlo run."""
     window = Window.circle()
-    true_model = named_intensity("sine2", window)
-    kernel = KernelSpec.von_mises(args.kappa, window)
-    prior = PriorSpec.uniform_unit(window, gamma=window.length - 1.0)
-    mcmc = McmcConfig(args.burn_in, args.samples, thin=1)
+    return (named_intensity(args.intensity, window),
+            KernelSpec.von_mises(args.kappa, window),
+            PriorSpec.uniform_unit(window),
+            McmcConfig(args.burn_in, args.samples, thin=1))
+
+
+def _check_theorem3(args) -> bool:
+    true_model, kernel, prior, mcmc = _harness(args)
     check = integral_representation_check(
-        true_model, prior, kernel, args.s, args.t, args.replications, mcmc,
-        RngStream(args.seed), nodes=args.nodes, grid_size=args.grid_size)
+        true_model, prior.with_gamma(prior.total_mass_alpha - 1.0), kernel,
+        args.s, args.t, args.replications, mcmc, RngStream(args.seed),
+        nodes=args.nodes, grid_size=args.grid_size)
     print(f"predictive risk: {check.predictive.estimate:.5f} "
           f"+- {check.predictive.std_error:.5f}")
     print(f"integral of estimation risks: {check.integral:.5f} "
@@ -264,65 +276,54 @@ def _check_theorem3(args) -> bool:
     return check.passed
 
 
+def _estimation_study(args):
+    true_model, kernel, prior, mcmc = _harness(args)
+    gammas = list(dict.fromkeys([args.gamma, prior.total_mass_alpha - 1.0]))
+    return estimation_risk_mc(true_model, prior, kernel, args.s,
+                              args.replications, mcmc, RngStream(args.seed),
+                              gammas=gammas, t=args.t,
+                              grid_size=args.grid_size)
+
+
+def _predictive_study(args):
+    true_model, kernel, prior, mcmc = _harness(args)
+    return predictive_risk_mc(true_model, prior.with_gamma(args.gamma), kernel,
+                              args.s, args.t, args.replications, mcmc,
+                              RngStream(args.seed))
+
+
+def _domination_study(args):
+    report = domination_study(args.abs_alpha,
+                              [(args.gamma, args.abs_alpha - 1.0)],
+                              args.w_grid, args.tau)
+    if not report.entries:
+        raise CliError("; ".join(report.notes))
+    return report
+
+
+GATES = {"lemma1": _check_lemma1, "lemma3": _check_lemma3,
+         "theorem3": _check_theorem3, "theorem4": _check_theorem4}
+STUDIES = {"estimation": _estimation_study, "predictive": _predictive_study,
+           "domination": _domination_study}
+
+
 def cmd_risk(args) -> int:
-    if args.study:
-        return _run_study(args)
-    if args.check == "lemma1":
-        passed = _check_lemma1()
-    elif args.check == "lemma3":
-        passed = _check_lemma3()
-    elif args.check == "theorem4":
-        passed = _check_theorem4(args)
-    elif args.check == "theorem3":
-        passed = _check_theorem3(args)
-    else:
-        raise CliError("risk needs --check lemma1|lemma3|theorem3|theorem4 "
-                       "or --study FILE")
-    return EXIT_OK if passed else EXIT_GATE
-
-
-def _run_study(args) -> int:
-    try:
-        with open(args.study) as fh:
-            study = json.load(fh)
-        kind = study["kind"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed study spec: {exc}")
-    window = Window.circle()
-    seed = args.seed
-    if kind == "domination":
-        report = domination_study(
-            float(study.get("abs_alpha", 2.0 * math.pi)),
-            [tuple(p) for p in study.get(
-                "gamma_pairs", [[0.0, 2.0 * math.pi - 1.0]])],
-            study.get("w_grid", [0.1, 1.0, 4.0 * math.pi, 50.0]),
-            float(study.get("tau", 1.0)))
-    elif kind in ("estimation", "predictive"):
-        true_model = named_intensity(study.get("intensity", "sine2"), window)
-        kernel = KernelSpec.von_mises(float(study.get("kappa", 5.0)), window)
-        prior = PriorSpec.uniform_unit(window)
-        mcmc = McmcConfig(burn_in=int(study.get("burn_in", 100)),
-                          samples=int(study.get("samples", 100)), thin=1)
-        reps = int(study.get("replications", 200))
-        if kind == "estimation":
-            report = estimation_risk_mc(
-                true_model, prior, kernel, float(study.get("s", 1.0)), reps,
-                mcmc, RngStream(seed),
-                gammas=study.get("gammas", [0.0, window.length - 1.0]),
-                grid_size=int(study.get("grid_size", 512)))
-        else:
-            report = predictive_risk_mc(
-                true_model,
-                prior.with_gamma(float(study.get("gamma", 0.0))), kernel,
-                float(study.get("s", 1.0)), float(study.get("t", 1.0)), reps,
-                mcmc, RngStream(seed))
-    else:
-        raise CliError(f"unknown study kind {kind!r}")
+    if args.kind is None:
+        raise CliError("risk needs --check KIND, or a config file with a "
+                       "'kind' key")
+    if args.kind in GATES:
+        return EXIT_OK if GATES[args.kind](args) else EXIT_GATE
     # --out has no default because --check theorem4 writes a report only
     # when it is given; a study always writes one
     out = args.out or "risk_report.csv"
+    out_json = os.path.splitext(out)[0] + ".json"
+    if args.config and os.path.realpath(out_json) == os.path.realpath(
+            args.config):
+        raise CliError(f"--out {out} would write its JSON report over the "
+                       f"config file {args.config}")
+    report = STUDIES[args.kind](args)
     report.to_csv(out)
-    write_json(os.path.splitext(out)[0] + ".json", report.to_json_obj())
+    write_json(out_json, report.to_json_obj())
     for entry in report.entries:
         print(f"{entry.label}: {entry.estimate:.6g} +- {entry.std_error:.3g}")
     for note in report.notes:
@@ -331,31 +332,15 @@ def _run_study(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    window = Window.circle()
-    pattern = PointPattern(window, np.asarray(FIGURE1_POINTS))
-    pattern.to_csv(os.path.join(out_dir, "figure1_pattern.csv"))
-    kernel = KernelSpec.von_mises(args.kappa, window)
-    prior = PriorSpec.uniform_unit(window)
-    gammas = [0.0, prior.total_mass_alpha - 1.0]
-    mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
-    summaries = estimate_intensity_multi(pattern, prior, kernel, args.s,
-                                         gammas, mcmc, RngStream(args.seed))
-    for summary in summaries:
-        print(f"gamma={summary.gamma:g} weight_mean={summary.weight_mean:.6f}")
-    _write_estimates_csv(os.path.join(out_dir, "figure1_estimates.csv"),
-                         summaries)
-    write_json(os.path.join(out_dir, "figure1_estimates.json"),
-               [s.to_json() for s in summaries])
-    grid = summaries[0].lambda_bar.grid
-    truth = named_intensity("sine2", window)
-    series = [("true", truth(grid))]
-    series += [(f"gamma={s.gamma:g}", s.lambda_hat.values) for s in summaries]
-    line_chart(os.path.join(out_dir, "figure1.svg"), grid, series,
-               ticks=pattern.points, title="shrinkage vs non-shrinkage",
-               x_label="location", y_label="intensity")
-    return EXIT_OK
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = functools.partial(os.path.join, args.out_dir)
+    pattern = PointPattern(Window.circle(), np.asarray(FIGURE1_POINTS))
+    pattern.to_csv(path("figure1_pattern.csv"))
+    fixed = argparse.Namespace(
+        **vars(args), kernel="von_mises", gamma=[0.0], shrink=True,
+        json=path("figure1_estimates.json"), csv=path("figure1_estimates.csv"),
+        svg=path("figure1.svg"), true_intensity="sine2")
+    return _estimate(fixed, pattern, "shrinkage vs non-shrinkage")
 
 
 class _Append(argparse.Action):
@@ -372,8 +357,9 @@ class _Config(argparse.Action):
 
     Defaults take effect at the start of a parse, so ``main`` parses again
     after this has run; flags on the command line still win.  Each value, or
-    each element of a list, goes through its option's ``type`` as a string,
-    exactly as a flag's value does.  ``null`` keeps the option's own default.
+    each element of a list, goes through its option's ``type`` as a string
+    and must be one of its ``choices``, exactly as a flag's value does.
+    ``null`` keeps the option's own default.
     """
 
     def __call__(self, parser, namespace, path, option_string=None):
@@ -404,7 +390,9 @@ class _Config(argparse.Action):
                 if isinstance(value, list):
                     return [convert(str(v)) for v in value]
             elif not isinstance(value, (list, dict)):
-                return convert(str(value))
+                converted = convert(str(value))
+                if option.choices is None or converted in option.choices:
+                    return converted
         except ValueError:
             pass
         raise argparse.ArgumentError(
@@ -418,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "Poisson processes with kernel-mixture intensities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *config_aliases):
         p.add_argument("--seed", type=int,
                        default=os.environ.get("NHPP_SEED", "0"),
                        help="random seed (default: NHPP_SEED, else 0)")
-        p.add_argument("--config", action=_Config,
+        p.add_argument("--config", *config_aliases, action=_Config,
                        help="JSON file of option values; flags override it")
 
     def fit(p):
@@ -481,15 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("risk", help="risk studies and verification gates")
-    common(p)
+    common(p, "--study")
     fit(p)
-    p.add_argument("--check",
-                   choices=["lemma1", "lemma3", "theorem3", "theorem4"])
-    p.add_argument("--study", help="JSON study description")
+    p.add_argument("--check", dest="kind", choices=[*GATES, *STUDIES],
+                   help="the gate or study to run")
+    p.add_argument("--intensity", default="sine2", help="sine2 or const:VALUE")
+    p.add_argument("--gamma", type=float, default=0.0,
+                   help="shrinkage exponent, set against |alpha| - 1")
     p.add_argument("--abs-alpha", dest="abs_alpha", type=float,
                    default=2.0 * math.pi)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--w-points", dest="w_points", type=int, default=20)
+    p.add_argument("--w-grid", dest="w_grid", type=float, action=_Append,
+                   default=np.geomspace(0.01, 100.0, 20).tolist(),
+                   help="true weight to tabulate; repeat for several")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--replications", type=int, default=200)
     p.add_argument("--nodes", type=int, default=8)

@@ -1,12 +1,15 @@
 import json
 import math
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nhppbayes import posterior, predict, risk
-from nhppbayes.cli import main
+from nhppbayes.cli import build_parser, main
 
 TWO_PI = 2.0 * math.pi
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -25,6 +28,15 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def predictive_study(tmp_path):
+    """A small predictive study file; its s and t differ from the defaults."""
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"kind": "predictive", "s": 2.0, "t": 3.0,
+                                "replications": 2, "burn_in": 20,
+                                "samples": 20}))
+    return path
 
 
 class TestSimulate:
@@ -93,7 +105,10 @@ class TestSimulate:
                  ["--gamma", "0.5", "--shrink", "--burn-in", "20",
                   "--samples", "10"], "csv",
                  {"kappa": 5.0, "kernel": "von_mises", "thin": 5,
-                  "json": None, "gamma": [0.5]})]
+                  "json": None, "gamma": [0.5]}),
+                ("risk", [], ["--study", str(predictive_study(tmp_path))],
+                 "out", {"kind": "predictive", "s": 2.0, "t": 3.0,
+                         "replications": 2})]
         for command, kept, flags, out_key, shown in runs:
             first, second = tmp_path / "first.csv", tmp_path / "second.csv"
             code, out, _ = run([command, *kept, *flags, "--seed", "21",
@@ -219,16 +234,46 @@ class TestRisk:
         code, _, err = run(["risk"], capsys)
         assert code == 2
 
-    def test_malformed_study_exits_2(self, tmp_path, capsys):
+    def test_malformed_study_exits_2(self, tmp_path, capsys, no_chain):
         # an empty w_grid would certify nothing, so it is an error too
         bad = tmp_path / "bad.json"
-        for spec in ["{not json", '{"kind": "domination", "w_grid": []}']:
+        for spec, named in [("{not json", "bad.json"),
+                            ('{"kind": "domination", "w_grid": []}', "w_grid"),
+                            ('{"kind": "bogus"}', "'kind'"),
+                            ('{"kind": "predictive", "kapa": 3}', "'kapa'"),
+                            ('{"kind": "predictive", "replications": "abc"}',
+                             "'replications'")]:
             bad.write_text(spec)
             code, _, err = run(["risk", "--study", str(bad), "--out",
                                 str(tmp_path / "report.csv")], capsys)
             assert code == 2
-            assert "error:" in err
+            assert "error:" in err and named in err
             assert not (tmp_path / "report.csv").exists()
+
+    def test_study_never_overwrites_itself(self, tmp_path, capsys, no_chain):
+        spec = predictive_study(tmp_path)
+        text = spec.read_text()
+        code, _, err = run(["risk", "--study", str(spec), "--out",
+                            str(tmp_path / "study.csv")], capsys)
+        assert code == 2
+        assert str(spec) in err
+        assert spec.read_text() == text
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_study_file_runs_as_flags(self, tmp_path, capsys):
+        # a study file is a config file, so the same values given as
+        # flags write the same reports
+        flags = ["--check", "predictive", "--s", "2", "--t", "3",
+                 "--replications", "2", "--burn-in", "20", "--samples", "20"]
+        study = ["--study", str(predictive_study(tmp_path))]
+        for name, argv in [("file", study), ("flags", flags)]:
+            (tmp_path / name).mkdir()
+            assert main(["risk", *argv, "--seed", "5", "--out",
+                         str(tmp_path / name / "report.csv")]) == 0
+        capsys.readouterr()
+        for report in ("report.csv", "report.json"):
+            assert ((tmp_path / "file" / report).read_bytes()
+                    == (tmp_path / "flags" / report).read_bytes())
 
     def test_domination_study_file(self, tmp_path, capsys):
         spec = tmp_path / "study.json"
@@ -268,6 +313,8 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["simulate", "--intensity", "const:inf"],
     ["simulate", "--intensity", "const:1e300"],
     ["simulate", "--exposure", "inf"],
+    ["simulate", "--exposure", "0"],
+    ["simulate", "--intensity", "const:0"],
     ["simulate", "--intensity", "const:1", "--window", "0,inf"],
     ["risk", "--check", "theorem3", "--s", "inf"],
     ["risk", "--check", "theorem3", "--grid-size", "0"],
@@ -275,8 +322,9 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "theorem3", "--nodes", "0"],
     ["risk", "--check", "theorem3", "--replications", "1"],
     ["risk", "--check", "theorem4", "--tau", "inf"],
-    ["risk", "--check", "theorem4", "--w-points", "0"],
-    ["risk", "--check", "theorem4", "--w-points", "-1"],
+    ["risk", "--check", "theorem4", "--w-grid", "0"],
+    ["risk", "--check", "theorem4", "--w-grid", "-1"],
+    ["risk", "--check", "theorem4", "--abs-alpha", "0.5"],
     ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "-1", *SHORT_CHAIN],
@@ -322,3 +370,22 @@ def test_bad_config_exits_2(config, named, tmp_path, capsys, no_chain):
     assert code == 2
     assert named in err
     assert out == ""
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    # every command line the README shows parses, so a retired flag cannot
+    # linger there; --study reads its file while parsing, so the README's
+    # example study file sits in the working directory
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    study = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "study.json").write_text(study)
+    monkeypatch.chdir(tmp_path)
+    argvs = [shlex.split(line, comments=True)
+             for line in commands.replace("\\\n", " ").splitlines()]
+    assert {argv[1] for argv in argvs} == {"simulate", "estimate", "predict",
+                                           "risk", "figure1"}
+    for argv in argvs:
+        assert argv[0] == "nhppbayes"
+        build_parser().parse_args(argv[1:])
