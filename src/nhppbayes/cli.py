@@ -7,7 +7,7 @@ studies), and ``figure1`` (``estimate`` on a fixed ten-point pattern,
 comparing the shrinkage and non-shrinkage estimates).
 
 Exit codes: 0 success / gate passed, 1 gate failed, 2 configuration error,
-3 chain diagnostic failure.
+3 chain diagnostic failure, 141 stdout closed early (128 + SIGPIPE).
 
 Each option's default and type sit in its ``add_argument`` call, and
 argparse applies them.  Every command first prints a ``resolved-config:``
@@ -21,17 +21,16 @@ the order is flag, config file, NHPP_SEED, 0.
 
 ``risk --check KIND`` names the run, and so does a config file's ``kind``
 key: a study file is a ``risk`` config file, and ``--study`` is a second
-name for ``--config``.  ``lemma1`` and ``lemma3`` read no option.
-``theorem3`` reads intensity, kappa, s, t, replications, burn_in, samples
-and seed, with nodes and grid_size, at the prior gamma 2 pi - 1 (the
-uniform base's |alpha| - 1); ``predictive`` reads the same eight with gamma,
-and ``estimation`` with gamma and grid_size, reporting gamma beside
-2 pi - 1.  ``theorem4`` and ``domination`` tabulate the pair
-(gamma, abs_alpha - 1) over w_grid at abs_alpha and tau.  The three studies
-write a CSV report to ``--out`` (default ``risk_report.csv``) and a JSON one
-beside it; ``theorem4`` writes the CSV only when ``--out`` is given.  The
-study keys ``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are
-retired for ``--gamma`` and ``--w-grid``.
+name for ``--config``.  ``RISK_OPTIONS`` lists the options each kind reads
+besides seed; any other option set away from its built-in default, by a flag
+or by the config file, exits 2 before any chain runs.  ``theorem3`` runs at
+the prior gamma 2 pi - 1 (the uniform base's |alpha| - 1), ``estimation``
+reports gamma beside 2 pi - 1, and ``theorem4`` and ``domination`` tabulate
+the pair (gamma, abs_alpha - 1) over w_grid.  The three studies write a CSV
+report to ``--out`` (default ``risk_report.csv``) and a JSON one beside it;
+``theorem4`` writes the CSV only when ``--out`` is given.  The study keys
+``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are retired for
+``--gamma`` and ``--w-grid``.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ EXIT_OK = 0
 EXIT_GATE = 1
 EXIT_CONFIG = 2
 EXIT_DIAGNOSTIC = 3
+EXIT_PIPE = 141
 
 FIGURE1_POINTS = (0.29, 1.55, 2.06, 2.85, 2.87, 3.60, 5.55, 5.61, 5.65, 6.01)
 MIN_ACCEPTANCE = 0.05
@@ -305,12 +305,37 @@ GATES = {"lemma1": _check_lemma1, "lemma3": _check_lemma3,
          "theorem3": _check_theorem3, "theorem4": _check_theorem4}
 STUDIES = {"estimation": _estimation_study, "predictive": _predictive_study,
            "domination": _domination_study}
+_MONTE_CARLO = ("intensity", "kappa", "s", "t", "replications", "burn_in",
+                "samples")
+RISK_OPTIONS = {
+    "lemma1": (),
+    "lemma3": (),
+    "theorem3": _MONTE_CARLO + ("nodes", "grid_size"),
+    "theorem4": ("gamma", "abs_alpha", "tau", "w_grid", "out"),
+    "estimation": _MONTE_CARLO + ("gamma", "grid_size", "out"),
+    "predictive": _MONTE_CARLO + ("gamma", "out"),
+    "domination": ("gamma", "abs_alpha", "tau", "w_grid", "out"),
+}
+
+
+@functools.cache
+def _risk_built_in() -> dict:
+    """risk's option values before any flag or config file.  Parsed once: a
+    parser is cyclic garbage, which piles up until a full collection."""
+    return vars(build_parser().parse_args(["risk"]))
 
 
 def cmd_risk(args) -> int:
     if args.kind is None:
         raise CliError("risk needs --check KIND, or a config file with a "
                        "'kind' key")
+    unread = [key for key, value in vars(args).items()
+              if key not in ("command", "func", "config", "kind", "seed")
+              and key not in RISK_OPTIONS[args.kind]
+              and value != _risk_built_in()[key]]
+    if unread:
+        raise CliError(f"risk --check {args.kind} does not read "
+                       f"{', '.join(unread)}")
     if args.kind in GATES:
         return EXIT_OK if GATES[args.kind](args) else EXIT_GATE
     # --out has no default because --check theorem4 writes a report only
@@ -512,9 +537,16 @@ def main(argv=None) -> int:
         return exc.code
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "func", "config")}
-    print("resolved-config:", json.dumps(options, sort_keys=True))
     try:
-        return args.func(args)
+        print("resolved-config:", json.dumps(options, sort_keys=True))
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (``| head -1``); devnull takes the flush at
+        # exit, which would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

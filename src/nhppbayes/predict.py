@@ -17,7 +17,10 @@ per draw) gives the estimate.
 
 The point layer keeps one row per (draw, replicate) pair, rows
 i*aug .. (i+1)*aug starting from draw i, and takes one array pass over all
-rows per future point.  The augmentation stream is drawn point by point: one
+rows per future point.  Its cells are slot-major, shape (slots, rows), with
+slots added as clusters open, and keep a count and the ``kernel_table`` of a
+location, so a future point makes no trig call.  The augmentation stream is
+drawn point by point, in the order it had before the trig tables: one
 uniform per row, then the new clusters' locations in one call.
 """
 
@@ -30,11 +33,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ModelError, PointPattern, PriorSpec
-from .kernels import KernelSpec, eval_kernel, sample_kernel_posterior
+from .kernels import (KernelSpec, eval_table, kernel_table,
+                      sample_kernel_posterior)
 from .posterior import ClusterState, McmcConfig, base_predictive, run_mcmc
 from .simulate import RngLike, as_generator
 
 _NB_TERMS = 10_000_000  # most terms nb_total_mass sums before it gives up
+_GROW = 4  # slots the point layer adds when a row runs out of them
 
 
 def nb_log_pmf(r: float, p: float, m: int) -> float:
@@ -115,38 +120,47 @@ def predictive_point_logdensity(draws: Sequence[ClusterState], prior: PriorSpec,
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     gen = as_generator(rng)
-    # rows zero-padded to K_max + M columns, of which row r occupies used[r]
+    # location and count of slot k of draw i at [:, k, i]
     sizes = np.array([d.n_clusters for d in draws] or [0], dtype=np.intp)
-    filled = np.arange(int(sizes.max()) + ys.size) < sizes[:, None]
-    locs, counts = np.zeros(filled.shape), np.zeros(filled.shape)
-    locs[filled] = np.concatenate([np.empty(0)] + [d.locations for d in draws])
-    counts[filled] = np.concatenate([np.empty(0)] + [d.counts for d in draws])
-    locs = np.repeat(locs, aug_replicates, axis=0)
-    counts = np.repeat(counts, aug_replicates, axis=0)
+    filled = np.arange(max(int(sizes.max()), 1))[:, None] < sizes
+    per_draw = np.zeros((2,) + filled.shape)
+    per_draw.transpose(0, 2, 1)[:, filled.T] = np.concatenate(
+        [np.empty((2, 0))] + [(d.locations, d.counts) for d in draws], axis=1)
+    # per slot and row: the kernel_table fields of the location, then the
+    # count; row r occupies its first used[r] slots, with count 0 past them
+    cells = np.repeat(np.concatenate([kernel_table(kernel, per_draw[0]),
+                                      per_draw[1:]]), aug_replicates, axis=-1)
     used = np.repeat(sizes, aug_replicates)
     rows = used.size
+    every_row = np.arange(rows)
 
     base = base_predictive(prior, kernel, ys)
     denom = prior.total_mass_alpha + pattern.count
     log_prod = np.zeros(rows)
     for j, y in enumerate(ys):
         width = max(int(used.max()), 1)
-        cum = counts[:, :width] * eval_kernel(kernel, y, locs[:, :width])
-        np.cumsum(cum, axis=1, out=cum)
-        numer = base[j] + cum[:, -1]
+        cum = eval_table(kernel, y, cells[:-1, :width])
+        cum *= cells[-1, :width]
+        for k in range(1, width):  # np.cumsum's order, on contiguous rows
+            cum[k] += cum[k - 1]
+        numer = base[j] + cum[-1]
         log_prod += np.log(numer / denom)
         # absorb y into every row by sampling its assignment: a new cluster
-        # with weight base[j], else the first column whose cumulative weight
+        # with weight base[j], else the first slot whose cumulative weight
         # exceeds the pick (the last occupied one if rounding leaves none)
         pick = gen.random(rows) * numer - base[j]
         new = pick < 0
-        join = np.minimum((cum <= pick[:, None]).sum(axis=1), used - 1)
-        counts[np.flatnonzero(~new), join[~new]] += 1.0
+        join = np.where(new, used,
+                        np.minimum((cum <= pick).sum(axis=0), used - 1))
+        if join.max() == cells.shape[1]:  # a row opens past the last slot
+            del cum  # freed before the copy, which sets the layer's peak
+            cells = np.concatenate(
+                [cells, np.zeros((len(cells), _GROW, rows))], axis=1)
+        cells[-1, join, every_row] += 1.0
         r = np.flatnonzero(new)
-        locs[r, used[r]] = sample_kernel_posterior(kernel, prior, y, gen,
-                                                   r.size)
-        counts[r, used[r]] = 1.0
-        used[r] += 1
+        cells[:-1, used[r], r] = kernel_table(kernel, sample_kernel_posterior(
+            kernel, prior, y, gen, r.size))
+        used += new
         denom += 1.0
 
     peak = float(np.max(log_prod))

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -250,6 +253,39 @@ class TestRisk:
             assert "error:" in err and named in err
             assert not (tmp_path / "report.csv").exists()
 
+    def test_unread_option_exits_2(self, tmp_path, capsys, no_chain):
+        # an option the kind does not read is an error whether a flag or the
+        # study file sets it; one at its built-in default is not
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"kind": "predictive", "tau": 2.0,
+                                     "abs_alpha": 2.0 * math.pi}))
+        report = tmp_path / "report.csv"
+        for argv, named in [(["--check", "predictive", "--abs-alpha", "3",
+                              "--out", str(report)], "abs_alpha"),
+                            (["--check", "lemma1", "--nodes", "4"], "nodes"),
+                            (["--study", str(study), "--out", str(report)],
+                             "tau")]:
+            code, _, err = run(["risk", *argv], capsys)
+            assert code == 2
+            assert err.strip().endswith(f"does not read {named}")
+            assert not report.exists()
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        # a reader that stops early (`| head -1`) ends the run with the
+        # SIGPIPE status and no traceback
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nhppbayes.cli", "risk", "--check",
+             "predictive", "--replications", "2", "--burn-in", "50",
+             "--samples", "50", "--out", str(tmp_path / "report.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"resolved-config:")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err and "Error" not in err
+
     def test_study_never_overwrites_itself(self, tmp_path, capsys, no_chain):
         spec = predictive_study(tmp_path)
         text = spec.read_text()
@@ -325,6 +361,14 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "theorem4", "--w-grid", "0"],
     ["risk", "--check", "theorem4", "--w-grid", "-1"],
     ["risk", "--check", "theorem4", "--abs-alpha", "0.5"],
+    ["risk", "--check", "predictive", "--abs-alpha", "3"],
+    ["risk", "--check", "predictive", "--w-grid", "1"],
+    ["risk", "--check", "estimation", "--nodes", "4"],
+    ["risk", "--check", "theorem3", "--gamma", "1"],
+    ["risk", "--check", "theorem3", "--out", "report.csv"],
+    ["risk", "--check", "theorem4", "--replications", "5"],
+    ["risk", "--check", "domination", "--kappa", "3"],
+    ["risk", "--check", "lemma3", "--tau", "2"],
     ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "-1", *SHORT_CHAIN],

@@ -13,8 +13,8 @@ from conftest import peak_traced_mb
 from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
                        eval_kernel, mixture_density, mixture_intensity,
                        quadrature, validate)
-from nhppbayes.kernels import (_bessel_ratios, mixture_series,
-                               sample_kernel_posterior)
+from nhppbayes.kernels import (_bessel_ratios, eval_table, kernel_table,
+                               mixture_series, sample_kernel_posterior)
 
 TWO_PI = 2.0 * math.pi
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -113,6 +113,26 @@ class TestEvalKernel:
         b = rng.uniform(-5, 5, 200)
         np.testing.assert_array_equal(eval_kernel(spec, a, b),
                                       eval_kernel(spec, b, a))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0])
+    def test_table_matches_direct_kernel(self, kappa):
+        # the trig expansion is within about kappa * 4e-16 relative where
+        # the kernel is a normal float; the Gaussian table is the location,
+        # so its values are the same bits
+        rng = np.random.default_rng(1)
+        u = rng.uniform(0, TWO_PI, (40, 50))
+        spec = KernelSpec.von_mises(kappa)
+        for y in rng.uniform(0, TWO_PI, 20):
+            direct = eval_kernel(spec, y, u)
+            normal = direct > 1e-290
+            np.testing.assert_allclose(
+                eval_table(spec, y, kernel_table(spec, u))[normal],
+                direct[normal], rtol=2e-15 * max(kappa, 1.0), atol=0)
+        spec = KernelSpec.gaussian(0.7, Window.interval(-5, 5))
+        u = rng.uniform(-5, 5, (40, 50))
+        np.testing.assert_array_equal(
+            eval_table(spec, 1.5, kernel_table(spec, u)),
+            eval_kernel(spec, 1.5, u))
 
     def test_positive_everywhere(self, vm5, circle):
         grid = circle.grid(512)

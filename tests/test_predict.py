@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_traced_mb
 
 from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        PriorSpec, RngStream, Window, build_predictive,
                        nb_log_pmf, nb_total_mass, posterior_lambda_bar,
                        predictive_count_params, predictive_point_logdensity,
-                       run_mcmc)
+                       run_mcmc, sample_nhpp)
 from nhppbayes.kernels import eval_kernel, sample_kernel_posterior
 from nhppbayes.posterior import ClusterState, base_predictive
 
@@ -254,11 +255,14 @@ class TestPointLayer:
         assert abs(values.mean() - exact) < 4 * se
 
     @pytest.mark.parametrize("path", ["uniform", "cosine", "gaussian",
-                                      "empty"])
+                                      "empty", "kappa0.5", "kappa50",
+                                      "kappa800", "long"])
     def test_matches_scalar_loop_reference(self, path, circle, vm5,
                                            uniform_prior, cosine_prior):
-        # same stream, same arithmetic order: the padded-array bookkeeping
-        # (rows, used columns, joins, new clusters) equals plain loops
+        # same stream, same sums up to the von Mises trig expansion: the
+        # slot-major bookkeeping (rows, used slots, joins, new clusters)
+        # equals plain loops and leaves the generator where they leave it
+        aug, ys = 3, [0.35, 2.0, 3.9, 0.5, 2.05, 1.0]
         if path == "gaussian":
             window = Window.interval(0.0, 4.0)
             kernel = KernelSpec.gaussian(0.5, window)
@@ -266,16 +270,36 @@ class TestPointLayer:
         else:
             window, kernel = circle, vm5
             prior = cosine_prior if path == "cosine" else uniform_prior
+        if path.startswith("kappa"):
+            kernel = KernelSpec.von_mises(float(path[5:]), circle)
+        if path == "long":
+            aug, ys = 8, np.mod(2.4 * np.arange(40), TWO_PI)
         xs = [] if path == "empty" else [0.3, 0.4, 1.9, 2.1, 2.2, 3.5]
         pattern = PointPattern(window, xs)
         cfg = McmcConfig(burn_in=20, samples=6, thin=3)
         draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(78)).draws
-        ys = [0.35, 2.0, 3.9, 0.5, 2.05, 1.0]
+        fast_gen, slow_gen = (RngStream(79).generator() for _ in range(2))
         fast = predictive_point_logdensity(draws, prior, kernel, ys, pattern,
-                                           RngStream(79), aug_replicates=3)
+                                           fast_gen, aug_replicates=aug)
         slow = _loop_point_logdensity(draws, prior, kernel, ys, pattern,
-                                      RngStream(79).generator(), 3)
+                                      slow_gen, aug)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+        assert fast_gen.random() == slow_gen.random()
+
+    def test_peak_memory_at_dense_size(self, sine2, vm5, uniform_prior):
+        # the predictive_dense shape: 800 rows, K_max = 22, M = 52; the slots
+        # grow as clusters open rather than padding every row to K_max + M
+        gen = RngStream(5, 0).generator()
+        observed = sample_nhpp(sine2, 4.0, gen)
+        future = sample_nhpp(sine2, 4.0, gen)
+        draws = run_mcmc(observed, uniform_prior, vm5,
+                         McmcConfig(burn_in=100, samples=100, thin=1),
+                         gen).draws
+        assert (observed.count, future.count) == (56, 52)
+        assert max(d.n_clusters for d in draws) == 22
+        assert peak_traced_mb(predictive_point_logdensity, draws,
+                              uniform_prior, vm5, future.points, observed,
+                              gen, 8) < 1.6
 
     def test_point_layer_free_of_gamma_and_beta(self, circle, vm5):
         # the point layer reads only the base measure, so members of the
