@@ -11,7 +11,7 @@ from .core import (GridDensity, IntensityModel, ModelError, PointPattern,
                    quadrature_checked, validate)
 from .kernels import (KernelSpec, bessel_i0, eval_kernel, mixture_density,
                       mixture_intensity)
-from .posterior import (ClusterState, McmcConfig, McmcResult, PosteriorSummary,
+from .posterior import (McmcConfig, McmcResult, PosteriorSummary,
                         estimate_intensity, estimate_intensity_multi,
                         posterior_lambda_bar, posterior_weight_mean, run_mcmc)
 from .predict import (PredictiveDensity, build_predictive, nb_log_pmf,
@@ -29,7 +29,7 @@ from .simulate import (RngStream, derive_seed, log_pattern_density, sample_base,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterState", "GridDensity", "IntegralRepresentationCheck",
+    "GridDensity", "IntegralRepresentationCheck",
     "IntensityModel", "KernelSpec", "McmcConfig", "McmcResult", "ModelError",
     "PointPattern", "PosteriorSummary", "PredictiveDensity", "PriorSpec",
     "RiskEntry", "RiskReport", "RngStream", "ValidationReport", "Window",

@@ -8,8 +8,13 @@ latent clustering of the observations, using auxiliary-component Gibbs
 reassignment (a handful of fresh candidate locations per step) plus a
 random-walk Metropolis refresh of each cluster location every sweep.
 
-An empty pattern needs no chain: its posterior shape is the prior, so
-``run_mcmc`` returns no draws and the estimate is the prior predictive.
+``run_mcmc`` keeps its draws as one flat table, ``McmcResult``: a draws x N
+array of cluster ranks, the locations and member counts of every kept atom
+in draw order, and the per-draw cluster counts that delimit the atoms.  Its
+consumers (the shape estimate, the predictive point layer) read all atoms at
+once.  An empty pattern needs no chain: its posterior shape is the prior, so
+``run_mcmc`` returns a zero-draw table and the estimate is the prior
+predictive.
 
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,37 +34,6 @@ import numpy as np
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
 from .kernels import KernelSpec, member_stats, mixture_density, mixture_series
 from .simulate import RngLike, as_generator, sample_base
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """One MCMC draw: the partition of observations and cluster locations."""
-
-    assignments: np.ndarray
-    locations: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=np.int64)
-        l = np.asarray(self.locations, dtype=float)
-        c = np.asarray(self.counts, dtype=np.int64)
-        if int(c.sum()) != a.size:
-            raise ModelError("cluster member counts must sum to the sample size")
-        if l.shape != c.shape:
-            raise ModelError("locations and counts must align")
-        for arr in (a, l, c):
-            arr.flags.writeable = False
-        object.__setattr__(self, "assignments", a)
-        object.__setattr__(self, "locations", l)
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n_observations(self) -> int:
-        return int(self.assignments.size)
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.counts.size)
 
 
 # Chain tuning: fresh candidate locations per reassignment step (Neal's
@@ -80,24 +55,41 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class McmcResult:
-    """Retained draws plus chain diagnostics (never silently dropped).
+    """The chain's kept draws as one flat table, plus chain diagnostics.
 
-    An empty pattern gives no draws; its acceptance rate is reported as
-    None in the diagnostics, since no proposal was made.
+    Draw i has k_i = ``cluster_count_trace[i]`` clusters.  Row i of
+    ``assignments`` (draws x N) gives each observation's cluster rank,
+    0 .. k_i - 1, in the draw's order of active clusters.  ``locations`` and
+    ``counts`` hold every kept atom in draw order: draw i's k_i atoms follow
+    the ``cluster_count_trace[:i].sum()`` atoms of the draws before it.
+
+    An empty pattern gives a zero-draw table; its acceptance rate is
+    reported as None in the diagnostics, since no proposal was made.
     """
 
-    draws: tuple
-    acceptance_rate: float
+    assignments: np.ndarray
+    locations: np.ndarray
+    counts: np.ndarray
     cluster_count_trace: np.ndarray
+    acceptance_rate: float
+
+    def __len__(self) -> int:
+        return int(self.cluster_count_trace.size)
+
+    def __iter__(self):
+        # exists only for bench/tracing.py, which sums d.n_clusters over the
+        # draws it is passed; the package reads the arrays
+        return (SimpleNamespace(n_clusters=int(k))
+                for k in self.cluster_count_trace)
 
     @property
     def diagnostics(self) -> dict:
         trace = self.cluster_count_trace
         return {
-            "acceptance_rate": self.acceptance_rate if self.draws else None,
+            "acceptance_rate": self.acceptance_rate if len(self) else None,
             "mean_clusters": float(np.mean(trace)) if trace.size else 0.0,
             "cluster_count_trace": trace.tolist(),
-            "draws": len(self.draws),
+            "draws": len(self),
         }
 
 
@@ -122,12 +114,14 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     The chain targets the distribution proportional to
     prod_l k(x_l, u_{c(l)}) times the Chinese-restaurant prior on the
     partition and base-measure draws for the cluster locations.  The
-    empty-pattern posterior equals the prior: that case returns no draws and
-    takes nothing from the generator.
+    empty-pattern posterior equals the prior: that case returns a zero-draw
+    table and takes nothing from the generator.
     """
     n_obs = pattern.count
     if n_obs == 0:
-        return McmcResult((), 1.0, np.zeros(0, dtype=np.int64))
+        return McmcResult(np.zeros((0, 0), dtype=np.int64), np.zeros(0),
+                          np.zeros(0, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), 1.0)
     if rng is None:
         raise ModelError("run_mcmc needs an RngStream or Generator")
     gen = as_generator(rng)
@@ -173,7 +167,9 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     active = list(range(n_obs))
     free: list = []
 
-    draws = []
+    kept_assign = []
+    kept_locs = []
+    kept_counts = []
     count_trace = []
     accepts = 0
     proposals = 0
@@ -267,14 +263,15 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
         if sweep == next_keep:
             next_keep += config.thin
             rank = {sid: r for r, sid in enumerate(active)}
-            draws.append(ClusterState(
-                np.array([rank[a] for a in assign], dtype=np.int64),
-                np.asarray([locs[sid] for sid in active]),
-                np.asarray([counts[sid] for sid in active], dtype=np.int64)))
+            kept_assign.append([rank[a] for a in assign])
+            kept_locs += [locs[sid] for sid in active]
+            kept_counts += [counts[sid] for sid in active]
             count_trace.append(k_active)
 
     rate = accepts / proposals if proposals else 1.0
-    return McmcResult(tuple(draws), rate, np.asarray(count_trace, dtype=np.int64))
+    return McmcResult(np.array(kept_assign, dtype=np.int64),
+                      np.array(kept_locs), np.array(kept_counts, dtype=np.int64),
+                      np.array(count_trace, dtype=np.int64), rate)
 
 
 def base_predictive(prior: PriorSpec, kernel: KernelSpec,
@@ -294,14 +291,14 @@ def base_predictive(prior: PriorSpec, kernel: KernelSpec,
     return mixture_density(kernel, nodes, dens, grid)
 
 
-def posterior_lambda_bar(draws: Sequence[ClusterState], prior: PriorSpec,
+def posterior_lambda_bar(draws: McmcResult, prior: PriorSpec,
                          kernel: KernelSpec, grid: Optional[np.ndarray] = None,
                          base_pred: Optional[np.ndarray] = None) -> GridDensity:
     """Posterior-mean normalized intensity on a grid.
 
     Each draw contributes (base-measure predictive + sum_c n_c k(y, u_c))
-    normalized by |alpha| + N; the result averages the draws.  An empty draw
-    sequence gives the prior predictive (the N = 0 posterior).  On the circle
+    normalized by |alpha| + N; the result averages the draws.  A zero-draw
+    table gives the prior predictive (the N = 0 posterior).  On the circle
     the cluster term comes from the kernel's Fourier series, whose error the
     positive base term keeps small relative to the result.
     """
@@ -313,11 +310,9 @@ def posterior_lambda_bar(draws: Sequence[ClusterState], prior: PriorSpec,
     theta = prior.total_mass_alpha
     if len(draws) == 0:
         return GridDensity(window, grid, base_pred / theta)
-    n_obs = draws[0].n_observations
-    all_locs = np.concatenate([d.locations for d in draws])
-    all_counts = np.concatenate([d.counts for d in draws]).astype(float)
+    n_obs = draws.assignments.shape[1]
     mixture = mixture_series if kernel.kind == "von_mises" else mixture_density
-    values = mixture(kernel, all_locs, all_counts, grid)
+    values = mixture(kernel, draws.locations, draws.counts, grid)
     values = (values / len(draws) + base_pred) / (theta + n_obs)
     return GridDensity(window, grid, values)
 
@@ -370,7 +365,7 @@ def estimate_intensity_multi(pattern: PointPattern, prior: PriorSpec,
     w_means = [posterior_weight_mean(prior.with_gamma(gamma), pattern.count, s)
                for gamma in gammas]
     result = run_mcmc(pattern, prior, kernel, config, rng)
-    lam_bar = posterior_lambda_bar(result.draws, prior, kernel, grid)
+    lam_bar = posterior_lambda_bar(result, prior, kernel, grid)
     return [PosteriorSummary(gamma, w_mean, lam_bar, lam_bar.scaled(w_mean),
                              dict(result.diagnostics))
             for gamma, w_mean in zip(gammas, w_means)]

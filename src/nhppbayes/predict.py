@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ModelError, PointPattern, PriorSpec
 from .kernels import (KernelSpec, eval_table, kernel_table,
                       sample_kernel_posterior)
-from .posterior import ClusterState, McmcConfig, base_predictive, run_mcmc
+from .posterior import McmcConfig, McmcResult, base_predictive, run_mcmc
 from .simulate import RngLike, as_generator
 
 _NB_TERMS = 10_000_000  # most terms nb_total_mass sums before it gives up
@@ -104,28 +103,28 @@ def predictive_count_params(prior: PriorSpec, n: int, s: float, t: float):
     return r, p
 
 
-def predictive_point_logdensity(draws: Sequence[ClusterState], prior: PriorSpec,
+def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
                                 kernel: KernelSpec, ys, pattern: PointPattern,
                                 rng: RngLike, aug_replicates: int = 8) -> float:
     """Log joint density of the future locations given their count.
 
-    ``draws`` are posterior clusterings of the observed pattern (an empty
-    sequence encodes the prior state for an empty pattern).  Each future
-    point is scored by its one-step predictive density and then assigned to
-    a cluster by sampling, so later points see the augmented state.  Returns
-    0.0 for an empty future (the empty product).  ``aug_replicates`` below
-    1 raises ``ModelError``.
+    ``draws`` is the table of posterior clusterings of the observed pattern
+    (a zero-draw table encodes the prior state for an empty pattern).  Each
+    future point is scored by its one-step predictive density and then
+    assigned to a cluster by sampling, so later points see the augmented
+    state.  Returns 0.0 for an empty future (the empty product).
+    ``aug_replicates`` below 1 raises ``ModelError``.
     """
     if aug_replicates < 1:
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     gen = as_generator(rng)
-    # location and count of slot k of draw i at [:, k, i]
-    sizes = np.array([d.n_clusters for d in draws] or [0], dtype=np.intp)
+    # location and count of slot k of draw i at [:, k, i]; the prior state
+    # is one draw with no clusters
+    sizes = draws.cluster_count_trace if len(draws) else np.zeros(1, np.intp)
     filled = np.arange(max(int(sizes.max()), 1))[:, None] < sizes
     per_draw = np.zeros((2,) + filled.shape)
-    per_draw.transpose(0, 2, 1)[:, filled.T] = np.concatenate(
-        [np.empty((2, 0))] + [(d.locations, d.counts) for d in draws], axis=1)
+    per_draw.transpose(0, 2, 1)[:, filled.T] = (draws.locations, draws.counts)
     # per slot and row: the kernel_table fields of the location, then the
     # count; row r occupies its first used[r] slots, with count 0 past them
     cells = np.repeat(np.concatenate([kernel_table(kernel, per_draw[0]),
@@ -176,7 +175,7 @@ class PredictiveDensity:
     prior: PriorSpec
     kernel: KernelSpec
     pattern: PointPattern
-    draws: tuple
+    draws: McmcResult
     aug_replicates: int = 8
 
     def log_score(self, future: PointPattern, rng: RngLike) -> float:
@@ -197,14 +196,12 @@ class PredictiveDensity:
 
 def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
                      s: float, t: float, config: McmcConfig = McmcConfig(),
-                     rng: RngLike = None, draws: Optional[Sequence] = None,
-                     aug_replicates: int = 8) -> PredictiveDensity:
-    """Assemble the predictive density, running the chain if needed."""
+                     rng: RngLike = None, aug_replicates: int = 8
+                     ) -> PredictiveDensity:
+    """Assemble the predictive density, running the chain on the pattern."""
     if aug_replicates < 1:
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     r, p = predictive_count_params(prior, pattern.count, s, t)
-    if draws is None:
-        draws = run_mcmc(pattern, prior, kernel, config, rng).draws
-    return PredictiveDensity(r, p, prior, kernel, pattern, tuple(draws),
-                             aug_replicates)
+    draws = run_mcmc(pattern, prior, kernel, config, rng)
+    return PredictiveDensity(r, p, prior, kernel, pattern, draws, aug_replicates)
 

@@ -250,7 +250,7 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
     for rep in range(replications):
         gen = replication_stream(rng, rep).generator()
         pattern = sample_nhpp(true_model, s, gen)
-        draws = run_mcmc(pattern, prior, kernel, config, gen).draws
+        draws = run_mcmc(pattern, prior, kernel, config, gen)
         lam_bar = posterior_lambda_bar(draws, prior, kernel, nodes, base_pred)
         for gi, gamma in enumerate(gammas):
             w_hat = posterior_weight_mean(prior.with_gamma(gamma),
@@ -287,7 +287,7 @@ def predictive_risk_mc(true_model: IntensityModel, prior: PriorSpec,
         gen = replication_stream(rng, rep).generator()
         observed = sample_nhpp(true_model, s, gen)
         future = sample_nhpp(true_model, t, gen)
-        draws = run_mcmc(observed, prior, kernel, config, gen).draws
+        draws = run_mcmc(observed, prior, kernel, config, gen)
         log_true = log_pattern_density(true_model, future, t)
         r, p = predictive_count_params(prior, observed.count, s, t)
         score = nb_log_pmf(r, p, future.count)

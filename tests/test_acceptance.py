@@ -167,7 +167,7 @@ def test_07_mcmc_small_sample_oracles():
     cfg1 = McmcConfig(burn_in=1000, samples=8000, thin=5)
     chains = np.stack([
         posterior_lambda_bar(
-            run_mcmc(pattern1, prior, kernel, cfg1, RngStream(1007, c)).draws,
+            run_mcmc(pattern1, prior, kernel, cfg1, RngStream(1007, c)),
             prior, kernel, grid).values
         for c in range(16)])
     grand = chains.mean(axis=0)
@@ -185,10 +185,9 @@ def test_07_mcmc_small_sample_oracles():
     cfg2 = McmcConfig(burn_in=500, samples=4000, thin=2)
     fractions = []
     for c in range(16):
-        draws = run_mcmc(pattern2, prior, kernel, cfg2,
-                         RngStream(1008, c)).draws
-        fractions.append(np.mean([d.assignments[0] == d.assignments[1]
-                                  for d in draws]))
+        assign = run_mcmc(pattern2, prior, kernel, cfg2,
+                          RngStream(1008, c)).assignments
+        fractions.append(np.mean(assign[:, 0] == assign[:, 1]))
     fractions = np.asarray(fractions)
     se2 = float(fractions.std(ddof=1) / math.sqrt(fractions.size))
     z2 = abs(float(fractions.mean()) - oracle2) / se2
@@ -275,7 +274,7 @@ def test_10_count_layer_and_point_layer():
     values = []
     shape_values = []
     for c in range(12):
-        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(1011, c)).draws
+        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(1011, c))
         point_val = math.exp(predictive_point_logdensity(
             draws, prior, kernel, [y], pattern, RngStream(1012, c),
             aug_replicates=2))

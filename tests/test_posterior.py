@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import batch_se
+from conftest import batch_se, draw_table
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        RngStream, Window, estimate_intensity, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
 from nhppbayes.kernels import KernelSpec, eval_kernel, mixture_density
-from nhppbayes.posterior import ClusterState, base_predictive
+from nhppbayes.posterior import base_predictive
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,10 +39,9 @@ class TestRunMcmc:
         a = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(5))
         b = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(5))
         assert a.acceptance_rate == b.acceptance_rate
-        for da, db in zip(a.draws, b.draws):
-            np.testing.assert_array_equal(da.assignments, db.assignments)
-            np.testing.assert_array_equal(da.locations, db.locations)
-            np.testing.assert_array_equal(da.counts, db.counts)
+        for field in ("assignments", "locations", "counts",
+                      "cluster_count_trace"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_empty_pattern_returns_prior_state(self, circle, vm5,
                                                uniform_prior):
@@ -51,7 +50,9 @@ class TestRunMcmc:
         gen = RngStream(0).generator()
         res = run_mcmc(PointPattern.empty(circle), uniform_prior, vm5,
                        McmcConfig(), gen)
-        assert res.draws == ()
+        assert len(res) == 0
+        assert res.assignments.shape == (0, 0)
+        assert res.locations.size == res.counts.size == 0
         assert isinstance(res.acceptance_rate, float)
         assert res.diagnostics == {"acceptance_rate": None,
                                    "mean_clusters": 0.0,
@@ -65,19 +66,36 @@ class TestRunMcmc:
         pattern = PointPattern(circle, [0.3, 0.31, 2.0, 4.0, 4.02])
         cfg = McmcConfig(burn_in=50, samples=50, thin=1)
         res = run_mcmc(pattern, uniform_prior, sharp, cfg, RngStream(7))
-        assert len(res.draws) == 50
-        for d in res.draws:
-            assert int(d.counts.sum()) == 5
-            assert np.all(np.isfinite(d.locations))
+        assert len(res) == 50
+        starts = np.cumsum(res.cluster_count_trace) - res.cluster_count_trace
+        np.testing.assert_array_equal(np.add.reduceat(res.counts, starts), 5)
+        assert np.all(np.isfinite(res.locations))
         assert 0.0 < res.acceptance_rate <= 1.0
 
-    def test_counts_sum_to_n(self, circle, vm5, uniform_prior):
-        pattern = PointPattern(circle, [0.3, 1.1, 1.2, 4.0, 4.1])
+    @pytest.mark.parametrize("kind", ["von_mises", "gaussian"])
+    def test_counts_sum_to_n(self, kind, circle, vm5, uniform_prior):
+        # the draw table is consistent: each draw's counts are the sizes of
+        # its rank classes, no cluster is empty, and the per-draw cluster
+        # counts add up to the atoms
+        if kind == "gaussian":
+            window = Window.interval(0.0, 4.0)
+            kernel = KernelSpec.gaussian(0.5, window)
+            prior = PriorSpec.uniform_unit(window)
+            xs = [0.3, 1.1, 1.2, 3.0, 3.1]
+        else:
+            window, kernel, prior = circle, vm5, uniform_prior
+            xs = [0.3, 1.1, 1.2, 4.0, 4.1]
         cfg = McmcConfig(burn_in=100, samples=50, thin=2)
-        res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(6))
-        for d in res.draws:
-            assert int(d.counts.sum()) == 5
-            assert d.assignments.max() < d.n_clusters
+        res = run_mcmc(PointPattern(window, xs), prior, kernel, cfg,
+                       RngStream(6))
+        trace = res.cluster_count_trace
+        assert res.assignments.shape == (50, 5)
+        assert trace.sum() == res.locations.size == res.counts.size
+        assert np.all(res.counts >= 1)
+        ends = np.cumsum(trace)
+        for row, k, end in zip(res.assignments, trace, ends):
+            np.testing.assert_array_equal(np.bincount(row, minlength=k),
+                                          res.counts[end - k:end])
 
     def test_single_point_posterior_location(self, circle, vm5, uniform_prior):
         # with one observation and a uniform base the cluster location has
@@ -86,7 +104,7 @@ class TestRunMcmc:
         pattern = PointPattern(circle, [x1])
         cfg = McmcConfig(burn_in=500, samples=4000, thin=5)
         res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(11))
-        locs = np.array([d.locations[0] for d in res.draws])
+        locs = res.locations  # one cluster per draw
         z = np.exp(1j * locs)
         cos_trace = np.cos(locs - x1)
         from scipy.special import i0, i1
@@ -104,7 +122,7 @@ class TestRunMcmc:
         cfg = McmcConfig(burn_in=300, samples=1000, thin=2)
         res = run_mcmc(pattern, uniform_prior, sharp, cfg, RngStream(12))
         from collections import Counter
-        occupancy = Counter(d.n_clusters for d in res.draws)
+        occupancy = Counter(res.cluster_count_trace.tolist())
         # ranking assertion: the single-cluster state is the modal partition
         assert occupancy[1] == max(occupancy.values())
 
@@ -120,9 +138,8 @@ class TestRunMcmc:
         p_together = overlap / (overlap + theta / TWO_PI ** 2)
         cfg = McmcConfig(burn_in=1000, samples=12000, thin=2)
         res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(13))
-        indicator = np.array(
-            [1.0 if d.assignments[0] == d.assignments[1] else 0.0
-             for d in res.draws])
+        indicator = (res.assignments[:, 0]
+                     == res.assignments[:, 1]).astype(float)
         se = batch_se(indicator)
         assert abs(indicator.mean() - p_together) < 3 * se
 
@@ -166,14 +183,14 @@ class TestBasePredictive:
 
 class TestPosteriorLambdaBar:
     def test_prior_predictive_is_uniform(self, circle, vm5, uniform_prior):
-        density = posterior_lambda_bar([], uniform_prior, vm5)
+        density = posterior_lambda_bar(draw_table([]), uniform_prior, vm5)
         np.testing.assert_allclose(density.values, 1.0 / TWO_PI, rtol=1e-12)
 
     def test_integrates_to_one(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.3, 1.1, 4.0])
         cfg = McmcConfig(burn_in=200, samples=200, thin=2)
         res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(21))
-        density = posterior_lambda_bar(res.draws, uniform_prior, vm5)
+        density = posterior_lambda_bar(res, uniform_prior, vm5)
         assert density.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_single_point_matches_quadrature_oracle(self, circle, vm5,
@@ -195,8 +212,7 @@ class TestPosteriorLambdaBar:
         cfg = McmcConfig(burn_in=1000, samples=8000, thin=5)
         chains = np.stack([
             posterior_lambda_bar(
-                run_mcmc(pattern, uniform_prior, vm5, cfg,
-                         RngStream(51, c)).draws,
+                run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(51, c)),
                 uniform_prior, vm5, grid).values
             for c in range(16)])
         grand = chains.mean(axis=0)
@@ -206,12 +222,9 @@ class TestPosteriorLambdaBar:
 
 def fixed_draws(locations_per_draw, n_obs):
     """Draws with the given cluster locations and near-equal cluster sizes."""
-    draws = []
-    for locs in locations_per_draw:
-        counts = np.diff(np.linspace(0, n_obs, len(locs) + 1).round()).astype(int)
-        draws.append(ClusterState(np.repeat(np.arange(len(locs)), counts),
-                                  np.asarray(locs, dtype=float), counts))
-    return draws
+    return draw_table(
+        (locs, np.diff(np.linspace(0, n_obs, len(locs) + 1).round()))
+        for locs in locations_per_draw)
 
 
 class TestLambdaBarSeries:
@@ -233,8 +246,7 @@ class TestLambdaBarSeries:
             locs = [np.full(k, 2.5) for k in (1, 7, 30)]
         draws = fixed_draws(locs, 30)
         series = posterior_lambda_bar(draws, prior, kernel, grid).values
-        mixture = mixture_density(kernel, np.concatenate(locs),
-                                  np.concatenate([d.counts for d in draws]),
+        mixture = mixture_density(kernel, np.concatenate(locs), draws.counts,
                                   grid)
         direct = ((mixture / len(draws) + base_predictive(prior, kernel, grid))
                   / (prior.total_mass_alpha + 30))

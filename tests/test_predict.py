@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import peak_traced_mb
+from conftest import draw_table, peak_traced_mb
 
 from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        PriorSpec, RngStream, Window, build_predictive,
@@ -12,7 +12,7 @@ from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        predictive_count_params, predictive_point_logdensity,
                        run_mcmc, sample_nhpp)
 from nhppbayes.kernels import eval_kernel, sample_kernel_posterior
-from nhppbayes.posterior import ClusterState, base_predictive
+from nhppbayes.posterior import base_predictive
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,7 +32,9 @@ def _loop_point_logdensity(draws, prior, kernel, ys, pattern, gen, aug):
     It draws the stream in the array version's order: per future point, one
     uniform per row, then the locations of the clusters that point opens.
     """
-    states = [([*d.locations], [*d.counts]) for d in draws for _ in range(aug)]
+    trace = draws.cluster_count_trace
+    states = [([*draws.locations[end - k:end]], [*draws.counts[end - k:end]])
+              for k, end in zip(trace, np.cumsum(trace)) for _ in range(aug)]
     states = states or [([], []) for _ in range(aug)]
     base = base_predictive(prior, kernel, np.asarray(ys))
     denom = prior.total_mass_alpha + pattern.count
@@ -137,10 +139,11 @@ class TestPredictiveCountParams:
 class TestPointLayer:
     def test_empty_future_is_zero(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.5])
-        assert predictive_point_logdensity((), uniform_prior, vm5, [],
+        prior_state = draw_table([])
+        assert predictive_point_logdensity(prior_state, uniform_prior, vm5, [],
                                            PointPattern.empty(circle),
                                            RngStream(0)) == 0.0
-        assert predictive_point_logdensity((), uniform_prior, vm5, [],
+        assert predictive_point_logdensity(prior_state, uniform_prior, vm5, [],
                                            pattern, RngStream(0)) == 0.0
 
     def test_single_future_point_equals_shape_estimate(self, circle, vm5,
@@ -149,7 +152,7 @@ class TestPointLayer:
         # the estimate is the posterior-mean shape at that point exactly
         pattern = PointPattern(circle, [0.4, 1.2, 1.3])
         cfg = McmcConfig(burn_in=200, samples=300, thin=2)
-        draws = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(61)).draws
+        draws = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(61))
         grid = circle.grid(512)
         density = posterior_lambda_bar(draws, uniform_prior, vm5, grid)
         y = float(grid[100])
@@ -173,7 +176,7 @@ class TestPointLayer:
         values = []
         for chain in range(12):
             draws = run_mcmc(pattern, uniform_prior, vm5, cfg,
-                             RngStream(63, chain)).draws
+                             RngStream(63, chain))
             log_val = predictive_point_logdensity(
                 draws, uniform_prior, vm5, [y1], pattern,
                 RngStream(64, chain), aug_replicates=1)
@@ -188,12 +191,12 @@ class TestPointLayer:
         # term from its closed form 1 + I1(k)/I0(k) cos(y) / 2
         from scipy.special import i0, i1
         pattern = PointPattern(circle, [0.9, 1.1, 4.2])
-        state = ClusterState([0, 0, 1], [1.0, 4.0], [2, 1])
+        draws = draw_table([([1.0, 4.0], [2, 1])])
         y = 2.5
         base = 1.0 + 0.5 * float(i1(5.0) / i0(5.0)) * math.cos(y)
         clusters = 2.0 * eval_kernel(vm5, y, 1.0) + eval_kernel(vm5, y, 4.0)
         closed = (base + float(clusters)) / (TWO_PI + 3.0)
-        log_val = predictive_point_logdensity((state,), cosine_prior, vm5,
+        log_val = predictive_point_logdensity(draws, cosine_prior, vm5,
                                               [y], pattern, RngStream(75),
                                               aug_replicates=1)
         assert math.exp(log_val) == pytest.approx(closed, rel=1e-12)
@@ -216,7 +219,7 @@ class TestPointLayer:
             prior = uniform_prior if path == "uniform" else cosine_prior
             locs, ys = [1.0, 4.0], [1.4, 2.5]
         pattern = PointPattern(window, [locs[0], locs[0], locs[1]])
-        state = ClusterState([0, 0, 1], locs, [2, 1])
+        draws = draw_table([(locs, [2, 1])])
         n_c = np.array([2.0, 1.0])
         k1 = eval_kernel(kernel, ys[0], np.asarray(locs))
         k2 = eval_kernel(kernel, ys[1], np.asarray(locs))
@@ -226,7 +229,7 @@ class TestPointLayer:
                  + _alpha_integral(prior, kernel, ys)) \
             / ((theta + 3.0) * (theta + 4.0))
         values = np.array([math.exp(predictive_point_logdensity(
-            (state,), prior, kernel, ys, pattern, RngStream(76, i),
+            draws, prior, kernel, ys, pattern, RngStream(76, i),
             aug_replicates=8)) for i in range(2000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
@@ -249,7 +252,7 @@ class TestPointLayer:
         exact = (theta ** 2 * singles + theta * pairs
                  + 2.0 * block(0, 1, 2)) / ((theta + 1.0) * (theta + 2.0))
         values = np.array([math.exp(predictive_point_logdensity(
-            (), uniform_prior, vm5, ys, PointPattern.empty(circle),
+            draw_table([]), uniform_prior, vm5, ys, PointPattern.empty(circle),
             RngStream(77, i), aug_replicates=8)) for i in range(6000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
@@ -277,7 +280,7 @@ class TestPointLayer:
         xs = [] if path == "empty" else [0.3, 0.4, 1.9, 2.1, 2.2, 3.5]
         pattern = PointPattern(window, xs)
         cfg = McmcConfig(burn_in=20, samples=6, thin=3)
-        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(78)).draws
+        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(78))
         fast_gen, slow_gen = (RngStream(79).generator() for _ in range(2))
         fast = predictive_point_logdensity(draws, prior, kernel, ys, pattern,
                                            fast_gen, aug_replicates=aug)
@@ -293,10 +296,9 @@ class TestPointLayer:
         observed = sample_nhpp(sine2, 4.0, gen)
         future = sample_nhpp(sine2, 4.0, gen)
         draws = run_mcmc(observed, uniform_prior, vm5,
-                         McmcConfig(burn_in=100, samples=100, thin=1),
-                         gen).draws
+                         McmcConfig(burn_in=100, samples=100, thin=1), gen)
         assert (observed.count, future.count) == (56, 52)
-        assert max(d.n_clusters for d in draws) == 22
+        assert draws.cluster_count_trace.max() == 22
         assert peak_traced_mb(predictive_point_logdensity, draws,
                               uniform_prior, vm5, future.points, observed,
                               gen, 8) < 1.6
@@ -311,7 +313,7 @@ class TestPointLayer:
         for prior in (PriorSpec.uniform_unit(circle, gamma=0.0),
                       PriorSpec.uniform_unit(circle, gamma=TWO_PI - 1.0),
                       PriorSpec.uniform_unit(circle, beta=3.0)):
-            draws = run_mcmc(pattern, prior, vm5, cfg, RngStream(65)).draws
+            draws = run_mcmc(pattern, prior, vm5, cfg, RngStream(65))
             results.append(predictive_point_logdensity(
                 draws, prior, vm5, ys, pattern, RngStream(66)))
         assert results[0] == results[1] == results[2]

@@ -4,16 +4,17 @@ Hypothesis draws the inputs; the runs are derandomized and keep no example
 database, so a failure reproduces on every machine.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import draw_table
 from nhppbayes import (KernelSpec, PriorSpec, Window, kl_decomposed,
                        kl_intensity, mixture_intensity, nb_total_mass,
                        posterior_lambda_bar)
-from nhppbayes.posterior import ClusterState
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Window.circle()
@@ -34,9 +35,8 @@ def cluster_draws(draw):
                              max_size=k - 1, unique=True)) if k > 1 else []
         counts = np.diff([0, *sorted(cuts), n_obs])
         locs = draw(st.lists(angles, min_size=k, max_size=k))
-        draws.append(ClusterState(np.repeat(np.arange(k), counts),
-                                  np.array(locs), counts))
-    return draws
+        draws.append((locs, counts))
+    return draw_table(draws)
 
 
 @PROPERTY
@@ -52,9 +52,8 @@ def test_lambda_bar_is_rotation_equivariant(draws, kappa, grid_size, shift):
     grid = CIRCLE.grid(grid_size)
     j = shift % grid_size
     step = TWO_PI / grid_size
-    rotated = [ClusterState(d.assignments,
-                            np.mod(d.locations + j * step, TWO_PI), d.counts)
-               for d in draws]
+    rotated = dataclasses.replace(
+        draws, locations=np.mod(draws.locations + j * step, TWO_PI))
     values = posterior_lambda_bar(draws, prior, kernel, grid).values
     moved = posterior_lambda_bar(rotated, prior, kernel, grid).values
     np.testing.assert_allclose(moved, np.roll(values, j), rtol=1e-10, atol=0)
