@@ -19,11 +19,16 @@ the echoed line fed back through ``--config`` reproduces the run byte for
 byte.  ``--seed`` defaults to the NHPP_SEED environment variable, else 0, so
 the order is flag, config file, NHPP_SEED, 0.
 
+An option that the run does not read, set away from its built-in default by
+a flag or by the config file, exits 2 before any chain runs.  ``risk`` reads
+seed and the options ``RISK_OPTIONS`` lists for its kind; ``estimate`` and
+``predict`` read ``--sigma`` only under the Gaussian kernel and ``--kappa``
+only under von Mises; the other commands read every option.  The echo shows
+an unread option at its built-in value, so it still reruns.
+
 ``risk --check KIND`` names the run, and so does a config file's ``kind``
 key: a study file is a ``risk`` config file, and ``--study`` is a second
-name for ``--config``.  ``RISK_OPTIONS`` lists the options each kind reads
-besides seed; any other option set away from its built-in default, by a flag
-or by the config file, exits 2 before any chain runs.  ``theorem3`` runs at
+name for ``--config``.  ``theorem3`` runs at
 the prior gamma 2 pi - 1 (the uniform base's |alpha| - 1), ``estimation``
 reports gamma beside 2 pi - 1, and ``theorem4`` and ``domination`` tabulate
 the pair (gamma, abs_alpha - 1) over w_grid.  The three studies write a CSV
@@ -45,7 +50,7 @@ import sys
 import numpy as np
 
 from .core import (IntensityModel, ModelError, PointPattern, PriorSpec, Window,
-                   write_json)
+                   write_csv, write_json)
 from .kernels import KernelSpec
 from .posterior import McmcConfig, estimate_intensity_multi
 from .predict import build_predictive
@@ -140,42 +145,32 @@ def _estimate(args, pattern: PointPattern, title: str) -> int:
     summaries = estimate_intensity_multi(pattern, prior, kernel, args.s,
                                          gammas, mcmc, RngStream(args.seed))
     rate = summaries[0].diagnostics.get("acceptance_rate")
+    lam_bar = summaries[0].lambda_bar
     for summary in summaries:
         print(f"gamma={summary.gamma:g} weight_mean={summary.weight_mean:.6f}")
     if args.json:
         write_json(args.json, [s.to_json() for s in summaries])
     if args.csv:
-        _write_estimates_csv(args.csv, summaries)
+        columns = [lam_bar.grid, lam_bar.values,
+                   *(s.lambda_hat.values for s in summaries)]
+        write_csv(args.csv, ["location", "lambda_bar"]
+                  + [f"lambda_hat_gamma={s.gamma:g}" for s in summaries],
+                  ([repr(float(v)) for v in row] for row in zip(*columns)))
     if args.svg:
-        grid = summaries[0].lambda_bar.grid
         series = []
         if args.true_intensity:
             truth = named_intensity(args.true_intensity, window)
-            series.append(("true", truth(grid)))
+            series.append(("true", truth(lam_bar.grid)))
         for summary in summaries:
             series.append((f"gamma={summary.gamma:g}",
                            summary.lambda_hat.values))
-        line_chart(args.svg, grid, series, ticks=pattern.points, title=title,
-                   x_label="location", y_label="intensity")
+        line_chart(args.svg, lam_bar.grid, series, ticks=pattern.points,
+                   title=title, x_label="location", y_label="intensity")
     if rate is not None and rate < MIN_ACCEPTANCE:
         print(f"diagnostic failure: acceptance rate {rate:.3f} below "
               f"{MIN_ACCEPTANCE}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
-
-
-def _write_estimates_csv(path, summaries) -> None:
-    import csv as csvmod
-    grid = summaries[0].lambda_bar.grid
-    with open(path, "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow(["location", "lambda_bar"]
-                        + [f"lambda_hat_gamma={s.gamma:g}" for s in summaries])
-        for i, x in enumerate(grid):
-            writer.writerow([repr(float(x)),
-                             repr(float(summaries[0].lambda_bar.values[i]))]
-                            + [repr(float(s.lambda_hat.values[i]))
-                               for s in summaries])
 
 
 def cmd_predict(args) -> int:
@@ -193,15 +188,10 @@ def cmd_predict(args) -> int:
     for k, path in enumerate(args.future):
         future = _load_pattern(path, window)
         score = predictive.log_score(future, RngStream(args.seed, 1000 + k))
-        rows.append((path, future.count, score))
+        rows.append((path, future.count, repr(score)))
         print(f"{path} M={future.count} log_score={score:.6f}")
     if args.out:
-        import csv as csvmod
-        with open(args.out, "w", newline="") as fh:
-            writer = csvmod.writer(fh)
-            writer.writerow(["pattern", "count", "log_score"])
-            for row in rows:
-                writer.writerow([row[0], row[1], repr(row[2])])
+        write_csv(args.out, ["pattern", "count", "log_score"], rows)
     return EXIT_OK
 
 
@@ -319,23 +309,38 @@ RISK_OPTIONS = {
 
 
 @functools.cache
-def _risk_built_in() -> dict:
-    """risk's option values before any flag or config file.  Parsed once: a
-    parser is cyclic garbage, which piles up until a full collection."""
-    return vars(build_parser().parse_args(["risk"]))
+def _built_in() -> dict:
+    """Each subcommand's option values before any flag or config file.  One
+    parser per process: a parser is cyclic garbage, which piles up until a
+    full collection."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return {name: {a.dest: a.default for a in p._actions}
+            for name, p in commands.choices.items()}
+
+
+def _check_reads(args) -> None:
+    """Exit 2 on an option the run does not read that is set away from its
+    built-in default, by a flag or by the config file."""
+    if args.command == "risk":
+        if args.kind is None:
+            raise CliError("risk needs --check KIND, or a config file with a "
+                           "'kind' key")
+        run = f"risk --check {args.kind}"
+        reads = {"config", "kind", "seed", *RISK_OPTIONS[args.kind]}
+        unread = [key for key in vars(args) if key not in reads]
+    elif args.command in ("estimate", "predict"):
+        run = f"{args.command} --kernel {args.kernel}"
+        unread = ["sigma" if args.kernel == "von_mises" else "kappa"]
+    else:
+        return
+    built_in = _built_in()[args.command]
+    unread = [key for key in unread
+              if key in built_in and getattr(args, key) != built_in[key]]
+    if unread:
+        raise CliError(f"{run} does not read {', '.join(unread)}")
 
 
 def cmd_risk(args) -> int:
-    if args.kind is None:
-        raise CliError("risk needs --check KIND, or a config file with a "
-                       "'kind' key")
-    unread = [key for key, value in vars(args).items()
-              if key not in ("command", "func", "config", "kind", "seed")
-              and key not in RISK_OPTIONS[args.kind]
-              and value != _risk_built_in()[key]]
-    if unread:
-        raise CliError(f"risk --check {args.kind} does not read "
-                       f"{', '.join(unread)}")
     if args.kind in GATES:
         return EXIT_OK if GATES[args.kind](args) else EXIT_GATE
     # --out has no default because --check theorem4 writes a report only
@@ -539,6 +544,7 @@ def main(argv=None) -> int:
                if k not in ("command", "func", "config")}
     try:
         print("resolved-config:", json.dumps(options, sort_keys=True))
+        _check_reads(args)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone early raises here, not at exit
         return code
@@ -550,7 +556,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -190,11 +190,7 @@ class PointPattern:
         return cls(window, np.empty(0))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["location"])
-            for x in self.points:
-                writer.writerow([repr(float(x))])
+        write_csv(path, ["location"], ([repr(float(x))] for x in self.points))
 
     @classmethod
     def from_csv(cls, path, window: Optional[Window] = None) -> "PointPattern":
@@ -323,8 +319,9 @@ class PriorSpec:
             raise ModelError("base measure must have positive total mass")
         if self.beta is not None and not self.beta > 0:
             raise ModelError("beta must be positive or None (improper)")
-        if not self.gamma < self.total_mass_alpha:
-            raise ModelError("gamma must be below the base total mass")
+        if not -math.inf < self.gamma < self.total_mass_alpha:
+            raise ModelError("gamma must be finite and below the base total "
+                             "mass")
 
     @classmethod
     def uniform_unit(cls, window: Window, beta: Optional[float] = None,
@@ -372,19 +369,19 @@ class ValidationReport:
         return not self.failures
 
 
-def validate(model: IntensityModel, n: int = QUAD_NODES) -> ValidationReport:
+def validate(model: IntensityModel) -> ValidationReport:
     """Check a model's mass and normalization by quadrature.
 
     Returns a report with a failure list rather than raising, so callers can
     surface every problem at once.
     """
     failures = []
-    nodes, weights = model.window.quad_nodes(n)
+    nodes, weights = model.window.quad_nodes()
     vals = model(nodes)
     nonpositive = int(np.count_nonzero(vals <= 0))
     if nonpositive:
         failures.append(f"{nonpositive} nonpositive intensity values on the grid")
-    mass_q2, settle = quadrature_checked(model, model.window, n)
+    mass_q2, settle = quadrature_checked(model, model.window)
     if settle > MASS_RTOL:
         failures.append(f"mass quadrature unsettled (refinement residual {settle:.2e})")
     mass_residual = abs(mass_q2 - model.total_mass) / max(abs(model.total_mass), 1.0)
@@ -402,3 +399,12 @@ def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows``, each a sequence of values that
+    are already formatted (floats as ``repr``)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -20,7 +20,8 @@ A von Mises mixture also has a Fourier series (Abramowitz & Stegun 9.6.34),
 
 with W = sum_j m_j, rho_n = I_n(kappa) / I0(kappa) and the trig moments
 C_n, S_n = sum_j m_j (cos n u_j, sin n u_j).  Each spec keeps the rho_n down
-to 1e-17 (about 25 terms at kappa = 5, 250 at kappa = 800), and
+to 1e-17 (about 25 terms at kappa = 5, 250 at kappa = 800, and a kappa that
+would keep more than ``_SERIES_TERMS`` is rejected from kappa alone), and
 ``mixture_series`` evaluates the truncated series on any set of points in
 (atoms + points) x terms work and O(atoms + points) memory, one harmonic at
 a time.  Its absolute error is about 1e-16 W, so a bare series can dip below
@@ -49,6 +50,7 @@ Kernel parameters are fixed known constants; there is no hyperprior layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +62,9 @@ from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 _TABLE_NODES = 2048  # table cells of a non-uniform-base posterior draw
 _SERIES_TOL = 1e-17  # smallest Bessel ratio I_n / I0 the series keeps
+# most terms a von Mises spec may keep; about sqrt(2 kappa log(1 / tol)) =
+# 8.85 sqrt(kappa) are kept, so kappa may reach about 1.3e8
+_SERIES_TERMS = 100_000
 # elements of one (points x atoms) block of the direct sum: its 512 KB stay in
 # L2 (2 MB a core on the Xeon measured, where 2^15..2^17 ran fastest)
 _BLOCK = 1 << 16
@@ -122,6 +127,12 @@ class KernelSpec:
                 raise ModelError("von Mises kernel requires a circle window")
             if self.kappa is None or not 0 <= self.kappa < math.inf:
                 raise ModelError("von Mises kernel needs finite kappa >= 0")
+            if self.kappa == 0:  # -0.0 as +0.0, which gen.vonmises accepts
+                object.__setattr__(self, "kappa", 0.0)
+            if math.sqrt(2.0 * self.kappa * math.log(1.0 / _SERIES_TOL)) \
+                    > _SERIES_TERMS:
+                raise ModelError(f"von Mises kappa {self.kappa:g} needs more "
+                                 f"than {_SERIES_TERMS} Bessel series terms")
             # log(2 pi I0(kappa)) through the scaled i0e, finite for any kappa
             rho, i0e = _bessel_ratios(self.kappa)
             object.__setattr__(self, "_log_norm",
@@ -132,6 +143,13 @@ class KernelSpec:
                 raise ModelError("Gaussian kernel requires an interval window")
             if self.sigma is None or not 0 < self.sigma < math.inf:
                 raise ModelError("Gaussian kernel needs finite sigma > 0")
+            # the chain divides by sigma^2, and the kernel peaks at
+            # 1 / (sqrt(2 pi) sigma); both must be normal floats
+            peak = 1.0 / (_SQRT_TWO_PI * self.sigma)
+            if not all(sys.float_info.min <= v < math.inf
+                       for v in (self.sigma * self.sigma, peak)):
+                raise ModelError(f"Gaussian sigma {self.sigma:g} is too small "
+                                 f"or too large to evaluate")
             object.__setattr__(self, "_log_norm", math.log(_SQRT_TWO_PI * self.sigma))
         else:
             raise ModelError(f"unknown kernel kind {self.kind!r}")

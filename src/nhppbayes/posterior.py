@@ -97,14 +97,16 @@ def posterior_weight_mean(prior: PriorSpec, n: int, s: float) -> float:
     """Posterior mean of the total weight given the observed count.
 
     (|alpha| - gamma + N) / (s + 1/beta), where the improper prior takes the
-    beta -> infinity limit and divides by s alone.
+    beta -> infinity limit and divides by s alone.  A mean that overflows
+    raises ``ModelError``.
     """
     if not 0 < s < math.inf:
         raise ModelError(f"s must be finite and positive, got {s}")
     numer = prior.weight_shape + n
-    if prior.is_improper:
-        return numer / s
-    return numer / (s + 1.0 / prior.beta)
+    mean = numer / (s if prior.is_improper else s + 1.0 / prior.beta)
+    if mean == math.inf:
+        raise ModelError(f"the posterior weight mean overflows at s = {s!r}")
+    return mean
 
 
 def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
@@ -340,14 +342,6 @@ class PosteriorSummary:
             "lambda_hat": [float(v) for v in self.lambda_hat.values],
             "diagnostics": self.diagnostics,
         }
-
-
-def estimate_intensity(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
-                       s: float, config: McmcConfig = McmcConfig(),
-                       rng: RngLike = None, grid_size: int = 1024) -> PosteriorSummary:
-    """Posterior-mean intensity estimate under one prior."""
-    return estimate_intensity_multi(pattern, prior, kernel, s, [prior.gamma],
-                                    config, rng, grid_size)[0]
 
 
 def estimate_intensity_multi(pattern: PointPattern, prior: PriorSpec,

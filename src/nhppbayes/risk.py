@@ -2,10 +2,9 @@
 
 Three layers:
 
-* exact computations: the divergence between intensities and its
-  weight/shape decomposition (quadrature), and the weight-risk difference
-  between two shrinkage exponents (a truncated Poisson series, certified by
-  a Chernoff tail bound);
+* exact computations: the divergence between intensities (quadrature),
+  and the weight-risk difference between two shrinkage exponents (a
+  truncated Poisson series, certified by a Chernoff tail bound);
 * identity checks: the Poisson derivative identity (finite differences vs
   the Stein-type right-hand side) and the Poisson log-shift inequality that
   drives the domination result;
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IntensityModel, ModelError, PriorSpec
+from .core import IntensityModel, ModelError, PriorSpec, write_csv
 from .kernels import KernelSpec
 from .posterior import (McmcConfig, base_predictive, posterior_lambda_bar,
                         posterior_weight_mean, run_mcmc)
@@ -36,6 +35,11 @@ from .predict import (nb_log_pmf, predictive_count_params,
 from .simulate import RngStream, derive_seed, log_pattern_density, sample_nhpp
 
 POISSON_TAIL = 1e-12
+# the identity checks' finer tail, and the finite-difference step in tau
+_IDENTITY_TAIL = 1e-14
+_TAU_STEP = 1e-4
+# most terms a Poisson series may take: theta = 1e6 needs about 1.2e6
+_POISSON_TERMS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -53,36 +57,12 @@ def _kl_from_values(true_vals, est_vals, quad_weights, t: float) -> float:
 
 
 def kl_intensity(true_model: IntensityModel, est_model: IntensityModel,
-                 t: float, n: int = 4096) -> float:
+                 t: float) -> float:
     """Divergence t * integral(lambda' - lambda + lambda log(lambda/lambda'))."""
     if true_model.window != est_model.window:
         raise ModelError("models must share a window")
-    nodes, weights = true_model.window.quad_nodes(n)
+    nodes, weights = true_model.window.quad_nodes()
     return _kl_from_values(true_model(nodes), est_model(nodes), weights, t)
-
-
-def kl_decomposed(true_model: IntensityModel, est_model: IntensityModel,
-                  t: float, n: int = 4096):
-    """Split the divergence into its weight and shape components.
-
-    Both components use the quadrature masses, so they are individually
-    nonnegative and sum to kl_intensity at the same resolution exactly (up
-    to float rounding).
-    """
-    if true_model.window != est_model.window:
-        raise ModelError("models must share a window")
-    nodes, weights = true_model.window.quad_nodes(n)
-    lam = true_model(nodes)
-    lam_p = est_model(nodes)
-    if np.any(lam_p <= 0) or np.any(lam <= 0):
-        raise ModelError("intensities must be strictly positive")
-    mass = float(np.dot(weights, lam))
-    mass_p = float(np.dot(weights, lam_p))
-    log_ratio = math.log(mass_p / mass)
-    cross = float(np.dot(weights, lam * np.log(lam / lam_p)))
-    weight_term = t * (mass_p - mass - mass * log_ratio)
-    shape_term = t * (cross + mass * log_ratio)
-    return weight_term, shape_term
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +71,23 @@ def kl_decomposed(true_model: IntensityModel, est_model: IntensityModel,
 
 def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
     """Support and pmf of Poisson(theta), truncated where the Chernoff
-    upper-tail bound exp(-theta) (e theta / n)^n drops below ``tail``."""
+    upper-tail bound exp(-theta) (e theta / n)^n drops below ``tail``.
+
+    A truncation point past ``_POISSON_TERMS`` raises ``ModelError`` before
+    anything is allocated.
+    """
     if not 0 <= theta < math.inf:
         raise ModelError(f"Poisson mean must be finite and nonnegative, "
                          f"got {theta}")
     if theta == 0.0:
         return np.zeros(1, dtype=np.int64), np.ones(1)
     n = int(theta) + 1
-    while -theta + n + n * math.log(theta / n) > math.log(tail):
+    while n <= _POISSON_TERMS and (-theta + n + n * math.log(theta / n)
+                                   > math.log(tail)):
         n = int(n * 1.2) + 5
+    if n > _POISSON_TERMS:
+        raise ModelError(f"Poisson mean {theta:g} needs more than "
+                         f"{_POISSON_TERMS} series terms")
     ns = np.arange(n + 1)
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     pmf = np.exp(ns * math.log(theta) - theta - log_fact)
@@ -107,8 +95,8 @@ def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
 
 
 def weight_risk_difference_exact(abs_alpha: float, gamma: float,
-                                 gamma_tilde: float, w: float, tau: float,
-                                 tail: float = POISSON_TAIL) -> float:
+                                 gamma_tilde: float, w: float,
+                                 tau: float) -> float:
     """Exact estimation-risk difference between two shrinkage exponents.
 
     The shape estimates coincide, so the risk difference reduces to the
@@ -120,17 +108,19 @@ def weight_risk_difference_exact(abs_alpha: float, gamma: float,
     with N ~ Poisson(tau w), evaluated by truncated series.  Positive values
     mean the gamma_tilde prior wins at this (w, tau).
     """
-    if not (gamma < abs_alpha and gamma_tilde < abs_alpha):
-        raise ModelError("shrinkage exponents must stay below the base mass")
+    if not (-math.inf < gamma < abs_alpha
+            and -math.inf < gamma_tilde < abs_alpha):
+        raise ModelError("shrinkage exponents must be finite and below the "
+                         "base mass")
     if not (w > 0 and tau > 0):
         raise ModelError("w and tau must be positive")
-    ns, pmf = poisson_pmf_series(tau * w, tail)
+    ns, pmf = poisson_pmf_series(tau * w)
     e_log = float(np.dot(pmf, np.log(ns + abs_alpha - gamma)))
     e_log_tilde = float(np.dot(pmf, np.log(ns + abs_alpha - gamma_tilde)))
     return (gamma_tilde - gamma) / tau - w * e_log + w * e_log_tilde
 
 
-def poisson_log_shift_bound(theta: float, c: float, tail: float = 1e-14):
+def poisson_log_shift_bound(theta: float, c: float):
     """Both sides of the Poisson log-shift inequality.
 
     lhs = theta E[log(X+1+c) - log(X+1)] with X ~ Poisson(theta);
@@ -141,29 +131,30 @@ def poisson_log_shift_bound(theta: float, c: float, tail: float = 1e-14):
         raise ModelError("c must be positive")
     if theta < 0:
         raise ModelError("theta must be nonnegative")
-    ns, pmf = poisson_pmf_series(theta, tail)
+    ns, pmf = poisson_pmf_series(theta, _IDENTITY_TAIL)
     lhs = theta * float(np.dot(pmf, np.log(ns + 1.0 + c) - np.log(ns + 1.0)))
     rhs = c - c * math.exp(-theta)
     return lhs, rhs
 
 
-def poisson_derivative_identity(w: float, tau: float, h: Callable,
-                                step: float = 1e-4, tail: float = 1e-14):
+def poisson_derivative_identity(w: float, tau: float, h: Callable):
     """Derivative of E[h(N_tau)] in tau, two ways.
 
     Returns (numeric, identity): a central finite difference of the series
-    expectation, and the identity value w E[h(N+1) - h(N)].  ``h`` maps an
-    integer array to values and must have a summable Poisson expectation.
+    expectation with step ``_TAU_STEP``, and the identity value
+    w E[h(N+1) - h(N)].  ``h`` maps an integer array to values and must have
+    a summable Poisson expectation.
     """
+    step = _TAU_STEP
     if not (w > 0 and tau > step):
-        raise ModelError("need w > 0 and tau > step")
+        raise ModelError(f"need w > 0 and tau > {step}")
 
     def expectation(at):
-        ns, pmf = poisson_pmf_series(at * w, tail)
+        ns, pmf = poisson_pmf_series(at * w, _IDENTITY_TAIL)
         return float(np.dot(pmf, np.asarray(h(ns), dtype=float)))
 
     numeric = (expectation(tau + step) - expectation(tau - step)) / (2 * step)
-    ns, pmf = poisson_pmf_series(tau * w, tail)
+    ns, pmf = poisson_pmf_series(tau * w, _IDENTITY_TAIL)
     identity = w * float(np.dot(
         pmf, np.asarray(h(ns + 1), dtype=float) - np.asarray(h(ns), dtype=float)))
     return numeric, identity
@@ -207,19 +198,20 @@ class RiskReport:
         }
 
     def to_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "estimate", "std_error", "replications"])
-            for e in self.entries:
-                writer.writerow([e.label, repr(e.estimate), repr(e.std_error),
-                                 e.replications])
+        write_csv(path, ["label", "estimate", "std_error", "replications"],
+                  ([e.label, repr(e.estimate), repr(e.std_error),
+                    e.replications] for e in self.entries))
 
 
 def _entry_from_losses(label: str, losses: np.ndarray, **meta) -> RiskEntry:
     n = losses.size
-    se = float(np.std(losses, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return RiskEntry(label, float(np.mean(losses)), se, n, losses, meta)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        se = float(np.std(losses, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean = float(np.mean(losses))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ModelError(f"{label}: the risk estimate {mean} +- {se} is not "
+                         f"finite")
+    return RiskEntry(label, mean, se, n, losses, meta)
 
 
 def replication_stream(base: RngStream, rep: int) -> RngStream:
@@ -241,6 +233,8 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
     """
     if replications < 1:
         raise ModelError("need at least one replication")
+    if not 0 < t < math.inf:
+        raise ModelError(f"t must be finite and positive, got {t}")
     gammas = list(gammas) if gammas is not None else [prior.gamma]
     window = true_model.window
     nodes, weights = window.quad_nodes(grid_size)

@@ -1,4 +1,5 @@
-"""Exact sampling of point-process realizations and of the generative priors.
+"""Exact sampling of point-process realizations, the base measure and the
+Chinese-restaurant prior.
 
 Reproducibility contract: every sampler takes an RngStream (a seed plus a
 stream id) and derives a fresh counter-based generator from it, so identical
@@ -17,10 +18,6 @@ import numpy as np
 
 from .core import (TWO_PI, IntensityModel, ModelError, PointPattern, PriorSpec,
                    invert_cdf)
-
-# Stick-breaking truncation default; residual mass stays below 1e-6 for
-# base masses up to about 10.
-STICK_DEFAULT = 500
 
 
 @dataclass(frozen=True)
@@ -155,31 +152,3 @@ def sample_base(prior: PriorSpec, size: int, gen: np.random.Generator) -> np.nda
         return gen.uniform(window.a, window.b, size)
     return invert_cdf(prior.base_cdf_table(), gen.random(size))
 
-
-def sample_prior_intensity(prior: PriorSpec, kernel, truncation: int = STICK_DEFAULT,
-                           rng: RngLike = RngStream(0)) -> IntensityModel:
-    """Draw an intensity from the proper prior (finite beta only).
-
-    The weight is Gamma(|alpha| - gamma, beta); the shape is a stick-breaking
-    draw truncated at the given number of sticks with the tail mass lumped
-    onto the final stick.  Sampling from the improper limit is undefined and
-    rejected.
-    """
-    from .kernels import mixture_intensity
-
-    if prior.is_improper:
-        raise ModelError("cannot sample an intensity from the improper prior")
-    if truncation < 1:
-        raise ModelError("truncation must be at least 1")
-    gen = as_generator(rng)
-    w = float(gen.gamma(prior.weight_shape, prior.beta))
-    if truncation == 1:
-        sticks = np.ones(1)
-    else:
-        v = gen.beta(1.0, prior.total_mass_alpha, truncation - 1)
-        remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
-        sticks = np.empty(truncation)
-        sticks[:-1] = v * remaining[:-1]
-        sticks[-1] = remaining[-1]          # lump the tail onto the last stick
-    locations = sample_base(prior, truncation, gen)
-    return mixture_intensity(kernel, locations, w * sticks)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nhppbayes import posterior, predict, risk
-from nhppbayes.cli import build_parser, main
+from nhppbayes.cli import RISK_OPTIONS, build_parser, main
 
 TWO_PI = 2.0 * math.pi
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -109,6 +109,10 @@ class TestSimulate:
                   "--samples", "10"], "csv",
                  {"kappa": 5.0, "kernel": "von_mises", "thin": 5,
                   "json": None, "gamma": [0.5]}),
+                ("estimate", ["--pattern", str(pattern)],
+                 ["--kernel", "gaussian", "--window", "0,7", "--sigma", "0.5",
+                  "--burn-in", "20", "--samples", "10"], "csv",
+                 {"kernel": "gaussian", "sigma": 0.5, "kappa": 5.0}),
                 ("risk", [], ["--study", str(predictive_study(tmp_path))],
                  "out", {"kind": "predictive", "s": 2.0, "t": 3.0,
                          "replications": 2})]
@@ -254,18 +258,31 @@ class TestRisk:
             assert not (tmp_path / "report.csv").exists()
 
     def test_unread_option_exits_2(self, tmp_path, capsys, no_chain):
-        # an option the kind does not read is an error whether a flag or the
-        # study file sets it; one at its built-in default is not
+        # an option the run does not read is an error whether a flag or the
+        # study file sets it; one at its built-in default is not.  risk
+        # reads its kind's options, estimate and predict sigma only under
+        # the Gaussian kernel and kappa only under von Mises
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"kind": "predictive", "tau": 2.0,
                                      "abs_alpha": 2.0 * math.pi}))
+        pattern = tmp_path / "p.csv"
+        pattern.write_text("location\n1.0\n")
         report = tmp_path / "report.csv"
-        for argv, named in [(["--check", "predictive", "--abs-alpha", "3",
-                              "--out", str(report)], "abs_alpha"),
-                            (["--check", "lemma1", "--nodes", "4"], "nodes"),
-                            (["--study", str(study), "--out", str(report)],
-                             "tau")]:
-            code, _, err = run(["risk", *argv], capsys)
+        for argv, named in [(["risk", "--check", "predictive", "--abs-alpha",
+                              "3", "--out", str(report)], "abs_alpha"),
+                            (["risk", "--check", "lemma1", "--nodes", "4"],
+                             "nodes"),
+                            (["risk", "--study", str(study), "--out",
+                              str(report)], "tau"),
+                            (["estimate", "--pattern", str(pattern),
+                              "--sigma", "nan"], "sigma"),
+                            (["predict", "--pattern", str(pattern),
+                              "--future", str(pattern), "--sigma", "2"],
+                             "sigma"),
+                            (["estimate", "--pattern", str(pattern),
+                              "--kernel", "gaussian", "--window", "0,7",
+                              "--kappa", "3"], "kappa")]:
+            code, _, err = run(argv, capsys)
             assert code == 2
             assert err.strip().endswith(f"does not read {named}")
             assert not report.exists()
@@ -370,6 +387,18 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "domination", "--kappa", "3"],
     ["risk", "--check", "lemma3", "--tau", "2"],
     ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
+    ["estimate", "--kernel", "gaussian", "--sigma", "1e-320", "--window",
+     "0,7"],
+    ["predict", "--kernel", "gaussian", "--sigma", "1e308", "--window", "0,7",
+     *SHORT_CHAIN],
+    ["estimate", "--kappa", "1e12"],
+    ["predict", "--kappa", "1e308", *SHORT_CHAIN],
+    ["estimate", "--s", "1e-320"],
+    ["estimate", "--gamma=-inf"],
+    ["risk", "--check", "theorem4", "--tau", "1e308"],
+    ["risk", "--check", "domination", "--w-grid", "1e9"],
+    ["risk", "--check", "theorem4", "--gamma=-inf"],
+    ["risk", "--check", "estimation", "--t", "inf"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "-1", *SHORT_CHAIN],
     ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
@@ -433,3 +462,74 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
     for argv in argvs:
         assert argv[0] == "nhppbayes"
         build_parser().parse_args(argv[1:])
+
+
+# One option at a time, each of these values goes to every option of every
+# subcommand, risk kind and kernel; a typed option gets the numbers and a
+# non-number, any other option (a path, window or intensity) gets them all.
+NUMBERS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e308"]
+TEXTS = ["abc", "1,", "const:", "no/such/file"]
+# small chains and grids, and the input patterns, where the run reads them
+CHEAP = {"pattern": "p.csv", "future": "p.csv", "burn_in": "2",
+         "samples": "2", "thin": "1", "replications": "2", "nodes": "1",
+         "grid_size": "16"}
+
+
+def hostile(action):
+    """The values one option is fuzzed with."""
+    if action.nargs == 0:  # a switch
+        return [None]
+    if action.choices:  # each choice runs as a mode of its own
+        return ["bogus"]
+    if action.type in (int, float):
+        return NUMBERS + TEXTS[:1]
+    return NUMBERS + TEXTS
+
+
+def fuzz_runs():
+    """(argv, value) for each hostile value of each option, derived from the
+    parser's actions, so a new option is fuzzed without an edit here."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, parser in commands.choices.items():
+        options = {a.dest: a for a in parser._actions if a.dest != "help"}
+        modes = [(dest, choice) for dest in ("kind", "kernel")
+                 if dest in options for choice in options[dest].choices]
+        for mode, choice in modes or [(None, None)]:
+            reads = RISK_OPTIONS[choice] if mode == "kind" else CHEAP
+            base = {k: v for k, v in CHEAP.items()
+                    if k in options and k in reads}
+            if mode:
+                base[mode] = choice
+            if choice == "gaussian":
+                base["window"] = "0,7"
+            for dest, action in options.items():
+                for value in hostile(action):
+                    argv = [options[k].option_strings[0]
+                            + ("" if v is None else f"={v}")
+                            for k, v in {**base, dest: value}.items()]
+                    yield [command, *argv], value
+
+
+def test_fuzz_every_option(tmp_path, capsys, monkeypatch):
+    # hostile values end in a clean exit code, never in an exception that
+    # escapes main, and never put nan on stdout (past the echoed config,
+    # and apart from the value itself, which a path may echo)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NHPP_SEED", raising=False)
+    Path("p.csv").write_text("location\n1.0\n2.0\n")
+    failures, runs = [], 0
+    for argv, value in fuzz_runs():
+        runs += 1
+        try:
+            code = main(argv)
+        except Exception as exc:  # every escape from main is a failure
+            capsys.readouterr()
+            failures.append(f"{shlex.join(argv)}: {exc!r}")
+            continue
+        out = capsys.readouterr().out.split("\n", 1)[-1]
+        if value:
+            out = out.replace(value, "")
+        if code not in (0, 1, 2, 3) or re.search(r"\bnan\b", out, re.I):
+            failures.append(f"{shlex.join(argv)}: exit {code}, {out!r}")
+    assert runs > 1000
+    assert not failures, "\n".join(failures[:30])

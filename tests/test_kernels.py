@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -150,6 +151,38 @@ class TestEvalKernel:
     def test_gaussian_needs_interval(self, circle):
         with pytest.raises(ModelError):
             KernelSpec.gaussian(1.0, circle)
+
+    def test_negative_zero_kappa_is_stored_as_zero(self):
+        # numpy's vonmises rejects kappa = -0.0 by its sign bit
+        spec = KernelSpec.von_mises(-0.0)
+        assert math.copysign(1.0, spec.kappa) == 1.0
+        draws = sample_kernel_posterior(spec, PriorSpec.uniform_unit(
+            spec.window), 1.0, np.random.default_rng(0), 4)
+        assert np.all((draws >= 0) & (draws < TWO_PI))
+
+    @pytest.mark.parametrize("sigma", [1e-320, 1e-160, 1e155, 1e308])
+    def test_gaussian_sigma_must_evaluate(self, sigma):
+        # sigma^2 underflows (to 0 or a subnormal) or overflows
+        with pytest.raises(ModelError, match="sigma"):
+            KernelSpec.gaussian(sigma, Window.interval(0.0, 7.0))
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e150])
+    def test_gaussian_sigma_near_the_limits(self, sigma):
+        spec = KernelSpec.gaussian(sigma, Window.interval(0.0, 7.0))
+        assert math.isfinite(spec.log_norm)
+
+    @pytest.mark.parametrize("kappa", [1.3e8, 1e12, 1e15, 1e308])
+    def test_kappa_past_the_series_cap_fails_fast(self, kappa):
+        # rejected from kappa alone: the recurrence took 10 s at 1e12 and
+        # ran out of memory at 1e15, and at 1e308 kept no term
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="series terms"):
+            KernelSpec.von_mises(kappa)
+        assert time.perf_counter() - start < 1.0
+
+    def test_kappa_below_the_series_cap(self):
+        # about 8.85 sqrt(kappa) terms are kept
+        assert len(KernelSpec.von_mises(1e6)._rho) == 8848
 
 
 class TestNormalization:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import batch_se, draw_table
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
-                       RngStream, Window, estimate_intensity, estimate_intensity_multi,
+                       RngStream, Window, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
 from nhppbayes.kernels import KernelSpec, eval_kernel, mixture_density
 from nhppbayes.posterior import base_predictive
@@ -256,16 +256,17 @@ class TestLambdaBarSeries:
 
 class TestEstimateIntensity:
     def test_empty_pattern_prior_mean(self, circle, vm5, uniform_prior):
-        summary = estimate_intensity(PointPattern.empty(circle), uniform_prior,
-                                     vm5, 1.0, McmcConfig(), RngStream(0))
+        summary, = estimate_intensity_multi(
+            PointPattern.empty(circle), uniform_prior, vm5, 1.0, [0.0],
+            McmcConfig(), RngStream(0))
         assert summary.weight_mean == pytest.approx(TWO_PI)
         np.testing.assert_allclose(summary.lambda_hat.values, 1.0, rtol=1e-12)
 
     def test_lambda_hat_integrates_to_weight(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.3, 1.1, 4.0])
         cfg = McmcConfig(burn_in=200, samples=200, thin=2)
-        summary = estimate_intensity(pattern, uniform_prior, vm5, 1.0, cfg,
-                                     RngStream(31))
+        summary, = estimate_intensity_multi(pattern, uniform_prior, vm5, 1.0,
+                                            [0.0], cfg, RngStream(31))
         assert summary.lambda_hat.integral() == \
             pytest.approx(summary.weight_mean, abs=1e-3 * summary.weight_mean)
 
@@ -277,8 +278,9 @@ class TestEstimateIntensity:
                   PriorSpec.uniform_unit(circle, beta=2.0, gamma=1.0)]
         values = []
         for prior in priors:
-            summary = estimate_intensity(pattern, prior, vm5, 1.0, cfg,
-                                         RngStream(32))
+            summary, = estimate_intensity_multi(pattern, prior, vm5, 1.0,
+                                                [prior.gamma], cfg,
+                                                RngStream(32))
             values.append(summary.lambda_bar.values)
         np.testing.assert_array_equal(values[0], values[1])
         np.testing.assert_array_equal(values[0], values[2])
@@ -288,10 +290,10 @@ class TestEstimateIntensity:
         # weight (halving is exact in binary floating point)
         pattern = PointPattern(circle, [0.3, 1.1, 4.0])
         cfg = McmcConfig(burn_in=100, samples=100, thin=1)
-        one = estimate_intensity(pattern, uniform_prior, vm5, 1.0, cfg,
-                                 RngStream(33))
-        two = estimate_intensity(pattern, uniform_prior, vm5, 2.0, cfg,
-                                 RngStream(33))
+        one, = estimate_intensity_multi(pattern, uniform_prior, vm5, 1.0,
+                                        [0.0], cfg, RngStream(33))
+        two, = estimate_intensity_multi(pattern, uniform_prior, vm5, 2.0,
+                                        [0.0], cfg, RngStream(33))
         np.testing.assert_array_equal(one.lambda_bar.values,
                                       two.lambda_bar.values)
         assert two.weight_mean == one.weight_mean / 2.0
@@ -310,8 +312,9 @@ class TestEstimateIntensity:
     def test_json_summary(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.5])
         cfg = McmcConfig(burn_in=50, samples=20, thin=1)
-        summary = estimate_intensity(pattern, uniform_prior, vm5, 1.0, cfg,
-                                     RngStream(35), grid_size=64)
+        summary, = estimate_intensity_multi(pattern, uniform_prior, vm5, 1.0,
+                                            [0.0], cfg, RngStream(35),
+                                            grid_size=64)
         obj = summary.to_json()
         assert len(obj["grid"]) == 64
         assert obj["weight_mean"] == summary.weight_mean

@@ -11,10 +11,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_table
-from nhppbayes import (KernelSpec, PriorSpec, Window, kl_decomposed,
-                       kl_intensity, mixture_intensity, nb_total_mass,
-                       posterior_lambda_bar)
+from conftest import draw_table, kl_decomposed
+from nhppbayes import (KernelSpec, PriorSpec, Window, kl_intensity,
+                       mixture_intensity, nb_total_mass, posterior_lambda_bar)
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Window.circle()

@@ -1,16 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import kl_decomposed
 from nhppbayes import (IntensityModel, McmcConfig, ModelError, PriorSpec,
                        RngStream, domination_study, estimation_risk_mc,
-                       integral_representation_check, kl_decomposed,
-                       kl_intensity, mixture_intensity,
-                       poisson_derivative_identity, poisson_log_shift_bound,
-                       poisson_pmf_series, predictive_risk_mc,
-                       weight_risk_difference_exact)
+                       integral_representation_check, kl_intensity,
+                       mixture_intensity, poisson_derivative_identity,
+                       poisson_log_shift_bound, poisson_pmf_series,
+                       predictive_risk_mc, weight_risk_difference_exact)
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +89,19 @@ class TestPoissonSeries:
     def test_truncation_contains_mass(self):
         ns, _ = poisson_pmf_series(50.0, tail=1e-12)
         assert float(stats.poisson.sf(ns[-1], 50.0)) < 1e-12
+
+    @pytest.mark.parametrize("theta", [1.7e6, 1e9, 1e308])
+    def test_past_the_term_cap_fails_fast(self, theta):
+        # rejected before any array is built: 1e9 would take 1.2e9 terms
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="series terms"):
+            poisson_pmf_series(theta)
+        assert time.perf_counter() - start < 1.0
+
+    def test_accepts_a_million(self):
+        ns, pmf = poisson_pmf_series(1e6)
+        assert ns[-1] == 1_200_006
+        assert abs(pmf.sum() - 1.0) < 1e-9
 
 
 class TestWeightRiskDifference:

@@ -8,7 +8,7 @@ from scipy import stats
 from conftest import poisson_gof_pvalue
 from nhppbayes import (IntensityModel, ModelError, PriorSpec, RngStream,
                        mixture_intensity, sample_base, sample_crp,
-                       sample_nhpp, sample_prior_intensity)
+                       sample_nhpp)
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,38 +206,3 @@ class TestSampleCrp:
         p = stats.kstest(locs / TWO_PI, "uniform").pvalue
         assert p > 0.001
 
-
-class TestSamplePriorIntensity:
-    def test_rejects_improper(self, uniform_prior, vm5):
-        with pytest.raises(ModelError):
-            sample_prior_intensity(uniform_prior, vm5, rng=RngStream(0))
-
-    def test_exponential_weight_special_case(self, circle, vm5):
-        # shape |alpha| - gamma = 1 with scale 1 makes the weight Exp(1)
-        prior = PriorSpec.uniform_unit(circle, beta=1.0, gamma=TWO_PI - 1.0)
-        gen = RngStream(43).generator()
-        reps = 20_000
-        weights = np.array([
-            sample_prior_intensity(prior, vm5, truncation=4, rng=gen).total_mass
-            for _ in range(reps)])
-        assert abs(weights.mean() - 1.0) < 3.0 / math.sqrt(reps)
-
-    def test_truncation_one_is_single_atom(self, circle, vm5):
-        prior = PriorSpec.uniform_unit(circle, beta=2.0)
-        model = sample_prior_intensity(prior, vm5, truncation=1,
-                                       rng=RngStream(47))
-        assert model.atom_locations.size == 1
-        assert model.total_mass == pytest.approx(model.atom_weights[0])
-
-    def test_first_stick_mean(self, circle, vm5):
-        prior = PriorSpec.uniform_unit(circle, beta=1.0)
-        theta = prior.total_mass_alpha
-        gen = RngStream(53).generator()
-        reps = 20_000
-        first = np.empty(reps)
-        for r in range(reps):
-            model = sample_prior_intensity(prior, vm5, truncation=64, rng=gen)
-            first[r] = model.atom_weights[0] / model.total_mass
-        target = 1.0 / (1.0 + theta)
-        se = first.std(ddof=1) / math.sqrt(reps)
-        assert abs(first.mean() - target) < 3 * se
