@@ -17,7 +17,7 @@ from nhppbayes import (domination_study, poisson_log_shift_bound,
 
 abs_alpha = 2.0 * math.pi
 w_grid = [0.1, 1.0, 4.0 * math.pi, 50.0]
-report = domination_study(abs_alpha, [(0.0, abs_alpha - 1.0)], w_grid, tau=1.0)
+report = domination_study(abs_alpha, 0.0, w_grid, tau=1.0)
 for entry in report.entries:
     print(f"{entry.label:45s} -> {entry.estimate:.6f}")
 print("all positive:", all(e.estimate > 0 for e in report.entries))

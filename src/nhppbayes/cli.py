@@ -17,7 +17,10 @@ echoes; an unknown key, or a value its option cannot parse, exits 2.  The
 file's values become the subcommand's defaults, so flags override them, and
 the echoed line fed back through ``--config`` reproduces the run byte for
 byte.  ``--seed`` defaults to the NHPP_SEED environment variable, else 0, so
-the order is flag, config file, NHPP_SEED, 0.
+the order is flag, config file, NHPP_SEED, 0.  A process parses with one
+parser: ``main`` builds it on its first call and, before every parse,
+restores each option's built-in default and reads NHPP_SEED again, so no
+config file's values reach the next run.
 
 An option that the run does not read, set away from its built-in default by
 a flag or by the config file, exits 2 before any chain runs.  ``risk`` reads
@@ -31,7 +34,7 @@ key: a study file is a ``risk`` config file, and ``--study`` is a second
 name for ``--config``.  ``theorem3`` runs at
 the prior gamma 2 pi - 1 (the uniform base's |alpha| - 1), ``estimation``
 reports gamma beside 2 pi - 1, and ``theorem4`` and ``domination`` tabulate
-the pair (gamma, abs_alpha - 1) over w_grid.  The three studies write a CSV
+gamma against abs_alpha - 1 over w_grid.  The three studies write a CSV
 report to ``--out`` (default ``risk_report.csv``) and a JSON one beside it;
 ``theorem4`` writes the CSV only when ``--out`` is given.  The study keys
 ``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are retired for
@@ -71,9 +74,7 @@ MIN_ACCEPTANCE = 0.05
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
+    """A configuration error found by the front end: exit 2."""
 
 
 def named_intensity(name: str, window: Window) -> IntensityModel:
@@ -283,9 +284,8 @@ def _predictive_study(args):
 
 
 def _domination_study(args):
-    report = domination_study(args.abs_alpha,
-                              [(args.gamma, args.abs_alpha - 1.0)],
-                              args.w_grid, args.tau)
+    report = domination_study(args.abs_alpha, args.gamma, args.w_grid,
+                              args.tau)
     if not report.entries:
         raise CliError("; ".join(report.notes))
     return report
@@ -308,19 +308,9 @@ RISK_OPTIONS = {
 }
 
 
-@functools.cache
-def _built_in() -> dict:
-    """Each subcommand's option values before any flag or config file.  One
-    parser per process: a parser is cyclic garbage, which piles up until a
-    full collection."""
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
-    return {name: {a.dest: a.default for a in p._actions}
-            for name, p in commands.choices.items()}
-
-
-def _check_reads(args) -> None:
+def _check_reads(args, built_in: dict) -> None:
     """Exit 2 on an option the run does not read that is set away from its
-    built-in default, by a flag or by the config file."""
+    ``built_in`` default, by a flag or by the config file."""
     if args.command == "risk":
         if args.kind is None:
             raise CliError("risk needs --check KIND, or a config file with a "
@@ -333,7 +323,6 @@ def _check_reads(args) -> None:
         unread = ["sigma" if args.kernel == "von_mises" else "kappa"]
     else:
         return
-    built_in = _built_in()[args.command]
     unread = [key for key in unread
               if key in built_in and getattr(args, key) != built_in[key]]
     if unread:
@@ -532,8 +521,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple:
+    """The process's one parser, its subcommands' parsers, and each
+    subcommand's option defaults as built (``help`` aside, whose default
+    would put a ``help`` key into the echo).  A parser is cyclic garbage,
+    which piles up until a full collection, so it is built once."""
     parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return parser, commands.choices, {
+        name: {a.dest: a.default for a in p._actions if a.dest != "help"}
+        for name, p in commands.choices.items()}
+
+
+def main(argv=None) -> int:
+    parser, commands, built_in = _parser()
+    # undo the defaults that an earlier run's config file set
+    seed = os.environ.get("NHPP_SEED", "0")
+    for name, p in commands.items():
+        p.set_defaults(**{**built_in[name], "seed": seed})
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -544,7 +550,7 @@ def main(argv=None) -> int:
                if k not in ("command", "func", "config")}
     try:
         print("resolved-config:", json.dumps(options, sort_keys=True))
-        _check_reads(args)
+        _check_reads(args, built_in[args.command])
         code = args.func(args)
         sys.stdout.flush()  # a reader gone early raises here, not at exit
         return code
@@ -553,10 +559,7 @@ def main(argv=None) -> int:
         # exit, which would raise again on the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ModelError, OSError) as exc:  # OSError: an output path
+    except (CliError, ModelError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

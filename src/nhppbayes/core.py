@@ -111,15 +111,16 @@ def quadrature(f: Callable, window: Window, n: int = QUAD_NODES) -> float:
     return float(np.dot(weights, np.asarray(f(nodes), dtype=float)))
 
 
-def quadrature_checked(f: Callable, window: Window, n: int = QUAD_NODES):
+def quadrature_checked(f: Callable, window: Window):
     """Integrate with a doubled-resolution refinement check.
 
     Returns (value_at_2n, residual) where the residual is the relative
-    difference between the n-node and 2n-node values.  A residual above the
-    integration tolerance indicates an under-resolved integrand.
+    difference between the n-node and 2n-node values, n = ``QUAD_NODES``.
+    A residual above the integration tolerance indicates an under-resolved
+    integrand.
     """
-    coarse = quadrature(f, window, n)
-    fine = quadrature(f, window, 2 * n)
+    coarse = quadrature(f, window)
+    fine = quadrature(f, window, 2 * QUAD_NODES)
     scale = max(abs(fine), 1.0)
     return fine, abs(fine - coarse) / scale
 

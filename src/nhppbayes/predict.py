@@ -181,17 +181,15 @@ class PredictiveDensity:
     def log_score(self, future: PointPattern, rng: RngLike) -> float:
         """Log predictive density of a future pattern on the same window.
 
-        The negative binomial log pmf of its count plus, when it has points,
-        the point layer's log density of their locations (drawn from ``rng``).
+        The negative binomial log pmf of its count plus the point layer's
+        log density of its locations (drawn from ``rng``; 0.0 for no points).
         """
         if future.window != self.pattern.window:
             raise ModelError("future pattern must live on the same window")
         score = nb_log_pmf(self.r, self.p, future.count)
-        if future.count:
-            score += predictive_point_logdensity(
-                self.draws, self.prior, self.kernel, future.points,
-                self.pattern, rng, self.aug_replicates)
-        return score
+        return score + predictive_point_logdensity(
+            self.draws, self.prior, self.kernel, future.points, self.pattern,
+            rng, self.aug_replicates)
 
 
 def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,

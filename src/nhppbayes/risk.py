@@ -106,7 +106,9 @@ def weight_risk_difference_exact(abs_alpha: float, gamma: float,
           - w E[log(N + |alpha| - gamma)] + w E[log(N + |alpha| - gamma_tilde)]
 
     with N ~ Poisson(tau w), evaluated by truncated series.  Positive values
-    mean the gamma_tilde prior wins at this (w, tau).
+    mean the gamma_tilde prior wins at this (w, tau).  A value that
+    overflows, as (gamma_tilde - gamma)/tau does at a subnormal tau, raises
+    ``ModelError``.
     """
     if not (-math.inf < gamma < abs_alpha
             and -math.inf < gamma_tilde < abs_alpha):
@@ -117,7 +119,11 @@ def weight_risk_difference_exact(abs_alpha: float, gamma: float,
     ns, pmf = poisson_pmf_series(tau * w)
     e_log = float(np.dot(pmf, np.log(ns + abs_alpha - gamma)))
     e_log_tilde = float(np.dot(pmf, np.log(ns + abs_alpha - gamma_tilde)))
-    return (gamma_tilde - gamma) / tau - w * e_log + w * e_log_tilde
+    value = (gamma_tilde - gamma) / tau - w * e_log + w * e_log_tilde
+    if not math.isfinite(value):
+        raise ModelError(f"the weight-risk difference at w={w:g}, tau={tau:g} "
+                         f"is not finite: {value}")
+    return value
 
 
 def poisson_log_shift_bound(theta: float, c: float):
@@ -284,11 +290,8 @@ def predictive_risk_mc(true_model: IntensityModel, prior: PriorSpec,
         draws = run_mcmc(observed, prior, kernel, config, gen)
         log_true = log_pattern_density(true_model, future, t)
         r, p = predictive_count_params(prior, observed.count, s, t)
-        score = nb_log_pmf(r, p, future.count)
-        if future.count:
-            score += predictive_point_logdensity(draws, prior, kernel,
-                                                 future.points, observed, gen,
-                                                 aug_replicates)
+        score = nb_log_pmf(r, p, future.count) + predictive_point_logdensity(
+            draws, prior, kernel, future.points, observed, gen, aug_replicates)
         losses[rep] = log_true - score
     entry = _entry_from_losses(f"predictive:gamma={prior.gamma:g}", losses,
                                s=s, t=t)
@@ -316,7 +319,6 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
                                   kernel: KernelSpec, s: float, t: float,
                                   replications: int, config: McmcConfig,
                                   rng: RngStream, nodes: int = 8,
-                                  aug_replicates: int = 8,
                                   grid_size: int = 1024
                                   ) -> IntegralRepresentationCheck:
     """Check that predictive risk equals the integral of estimation risks.
@@ -346,8 +348,7 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
         (gl_weights * np.asarray([e.std_error for e in node_entries])) ** 2)))
     pred_rng = RngStream(derive_seed(rng.seed, rng.stream_id, 202), 0)
     pred_report = predictive_risk_mc(true_model, prior, kernel, s, t,
-                                     replications, config, pred_rng,
-                                     aug_replicates)
+                                     replications, config, pred_rng)
     pred = pred_report.entries[0]
     gap = abs(pred.estimate - integral)
     gate = 3.0 * (pred.std_error + integral_se)
@@ -355,29 +356,22 @@ def integral_representation_check(true_model: IntensityModel, prior: PriorSpec,
                                        node_entries, taus, gap, gate)
 
 
-def domination_study(abs_alpha: float, gamma_pairs: Sequence,
+def domination_study(abs_alpha: float, gamma: float,
                      w_grid: Sequence[float], tau: float) -> RiskReport:
     """Tabulate exact weight-risk differences over a grid of true weights.
 
-    Every pair must satisfy |alpha| - gamma > 1 with gamma_tilde =
-    |alpha| - 1; violations are reported in the notes rather than raised.
-    A strictly positive table certifies domination of the gamma prior by the
-    gamma_tilde prior at the tabulated weights, so an empty ``w_grid``, which
-    would certify nothing, is an error.
+    The gamma prior is set against gamma_tilde = |alpha| - 1, which needs
+    |alpha| - gamma > 1; a violation is reported in the notes rather than
+    raised.  A strictly positive table certifies domination of the gamma
+    prior by the gamma_tilde prior at the tabulated weights, so an empty
+    ``w_grid``, which would certify nothing, is an error.
     """
     if len(w_grid) == 0:
         raise ModelError("domination study needs at least one weight in w_grid")
+    gamma_tilde = abs_alpha - 1.0
     entries = []
     notes = []
-    for gamma, gamma_tilde in gamma_pairs:
-        if not abs_alpha - gamma > 1:
-            notes.append(f"pair (gamma={gamma:g}, gamma_tilde={gamma_tilde:g}) "
-                         f"violates |alpha| - gamma > 1 (|alpha|={abs_alpha:g})")
-            continue
-        if abs(gamma_tilde - (abs_alpha - 1.0)) > 1e-12:
-            notes.append(f"pair (gamma={gamma:g}, gamma_tilde={gamma_tilde:g}) "
-                         f"does not use gamma_tilde = |alpha| - 1")
-            continue
+    if abs_alpha - gamma > 1:
         for w in w_grid:
             value = weight_risk_difference_exact(abs_alpha, gamma, gamma_tilde,
                                                  float(w), tau)
@@ -386,8 +380,9 @@ def domination_study(abs_alpha: float, gamma_pairs: Sequence,
                 value, 0.0, 0,
                 meta={"gamma": gamma, "gamma_tilde": gamma_tilde,
                       "w": float(w), "tau": tau}))
-    if not entries and not notes:
-        notes.append("no admissible (gamma, gamma_tilde) pairs supplied")
+    else:
+        notes.append(f"gamma={gamma:g} violates |alpha| - gamma > 1 "
+                     f"(|alpha|={abs_alpha:g})")
     if abs_alpha <= 1:
         notes.append("|alpha| <= 1 is a boundary case: no gamma satisfies "
                      "|alpha| - gamma > 1, so the study is empty")

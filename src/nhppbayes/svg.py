@@ -7,7 +7,7 @@ the bottom edge.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd"]
 
@@ -18,14 +18,14 @@ def _escape(text: str) -> str:
 
 
 def line_chart(path, x: Sequence[float], series: Sequence,
-               ticks: Optional[Sequence[float]] = None, title: str = "",
-               x_label: str = "", y_label: str = "",
-               width: int = 860, height: int = 540) -> None:
+               ticks: Sequence[float], title: str, x_label: str,
+               y_label: str) -> None:
     """Write an SVG chart of one or more (label, values) curves over x.
 
     ``ticks`` draws short vertical marks along the bottom edge (observation
     locations).  The output is standalone valid XML.
     """
+    width, height = 860, 540
     xs = [float(v) for v in x]
     if not xs:
         raise ValueError("x grid is empty")
@@ -48,11 +48,9 @@ def line_chart(path, x: Sequence[float], series: Sequence,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="16" font-family="sans-serif">{_escape(title)}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-size="16" font-family="sans-serif">'
-                     f'{_escape(title)}</text>')
     # axes
     parts.append(f'<line x1="{px0}" y1="{py1}" x2="{px1}" y2="{py1}" '
                  'stroke="#000" stroke-width="1.2"/>')
@@ -71,15 +69,13 @@ def line_chart(path, x: Sequence[float], series: Sequence,
                      f'y2="{py1 + 4}" stroke="#000" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{py1 + 18}" text-anchor="middle" '
                      f'font-size="11" font-family="sans-serif">{xv:.2f}</text>')
-    if x_label:
-        parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 14}" '
-                     f'text-anchor="middle" font-size="13" '
-                     f'font-family="sans-serif">{_escape(x_label)}</text>')
-    if y_label:
-        parts.append(f'<text x="18" y="{(py0 + py1) / 2:.1f}" '
-                     f'text-anchor="middle" font-size="13" '
-                     f'font-family="sans-serif" transform="rotate(-90 18 '
-                     f'{(py0 + py1) / 2:.1f})">{_escape(y_label)}</text>')
+    parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 14}" '
+                 f'text-anchor="middle" font-size="13" '
+                 f'font-family="sans-serif">{_escape(x_label)}</text>')
+    parts.append(f'<text x="18" y="{(py0 + py1) / 2:.1f}" '
+                 f'text-anchor="middle" font-size="13" '
+                 f'font-family="sans-serif" transform="rotate(-90 18 '
+                 f'{(py0 + py1) / 2:.1f})">{_escape(y_label)}</text>')
     # curves and legend
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -93,12 +89,11 @@ def line_chart(path, x: Sequence[float], series: Sequence,
         parts.append(f'<text x="{px1 - 98}" y="{ly + 4}" font-size="12" '
                      f'font-family="sans-serif">{_escape(str(label))}</text>')
     # observation rug
-    if ticks is not None:
-        for tv in ticks:
-            px, _ = to_px(float(tv), y_lo)
-            parts.append(f'<line x1="{px:.2f}" y1="{py1 - 10}" x2="{px:.2f}" '
-                         f'y2="{py1}" stroke="#333" stroke-width="1.4" '
-                         'class="tick"/>')
+    for tv in ticks:
+        px, _ = to_px(float(tv), y_lo)
+        parts.append(f'<line x1="{px:.2f}" y1="{py1 - 10}" x2="{px:.2f}" '
+                     f'y2="{py1}" stroke="#333" stroke-width="1.4" '
+                     'class="tick"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

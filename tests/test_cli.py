@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhppbayes import posterior, predict, risk
+from nhppbayes import cli, posterior, predict, risk
 from nhppbayes.cli import RISK_OPTIONS, build_parser, main
 
 TWO_PI = 2.0 * math.pi
@@ -130,6 +130,45 @@ class TestSimulate:
             assert main([command, *kept, "--config", str(cfg)]) == 0
             capsys.readouterr()
             assert first.read_bytes() == second.read_bytes()
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call in a process."""
+
+    @staticmethod
+    def echo(out):
+        return json.loads(out.splitlines()[0].split("resolved-config: ")[1])
+
+    def test_config_values_do_not_reach_the_next_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exposure": 2.0}))
+        out = ["--out", str(tmp_path / "p.csv")]
+        code, first, _ = run(["simulate", "--config", str(cfg), *out], capsys)
+        assert code == 0 and self.echo(first)["exposure"] == 2.0
+        code, second, _ = run(["simulate", *out], capsys)
+        assert code == 0 and self.echo(second)["exposure"] == 1.0
+
+    def test_seed_env_read_on_every_run(self, tmp_path, capsys, monkeypatch):
+        for env in ("11", "12"):
+            monkeypatch.setenv("NHPP_SEED", env)
+            code, out, _ = run(["simulate", "--out", str(tmp_path / "p.csv")],
+                               capsys)
+            assert code == 0 and self.echo(out)["seed"] == int(env)
+
+    def test_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for seed in ("1", "2", "3"):
+            assert main(["simulate", "--seed", seed, "--out",
+                         str(tmp_path / "p.csv")]) == 0
+        assert main(["risk", "--check", "theorem4"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
 
 class TestEstimate:
@@ -512,8 +551,8 @@ def fuzz_runs():
 
 def test_fuzz_every_option(tmp_path, capsys, monkeypatch):
     # hostile values end in a clean exit code, never in an exception that
-    # escapes main, and never put nan on stdout (past the echoed config,
-    # and apart from the value itself, which a path may echo)
+    # escapes main, and never put nan or an infinity on stdout (past the
+    # echoed config, and apart from the value itself, which a path may echo)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("NHPP_SEED", raising=False)
     Path("p.csv").write_text("location\n1.0\n2.0\n")
@@ -529,7 +568,8 @@ def test_fuzz_every_option(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr().out.split("\n", 1)[-1]
         if value:
             out = out.replace(value, "")
-        if code not in (0, 1, 2, 3) or re.search(r"\bnan\b", out, re.I):
+        shown = re.search(r"\b(nan|inf|infinity)\b", out, re.I)
+        if code not in (0, 1, 2, 3) or shown:
             failures.append(f"{shlex.join(argv)}: exit {code}, {out!r}")
     assert runs > 1000
     assert not failures, "\n".join(failures[:30])

@@ -1,4 +1,5 @@
-"""Every exported name is reached by the package or a demo, not only tests."""
+"""Every exported name is reached by the package or a demo, not only tests,
+and every defaulted parameter of the package is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,84 @@ def test_every_export_is_reached():
     unreached = sorted(set(nhppbayes.__all__) - reached - set(ORACLES))
     assert not unreached, f"exported but reached only by tests: {unreached}"
     assert set(ORACLES) <= set(nhppbayes.__all__)
+
+
+def defaulted(fn, skip_first):
+    """(name, position) of each defaulted parameter of a def; keyword-only
+    ones have no position."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[skip_first:]
+    first = len(positional) - len(a.defaults)
+    return ([(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None])
+
+
+def signatures(tree):
+    """(called name, where, defaulted parameters) of each public module-level
+    function, and of each method and constructor of a public class; a
+    dataclass's constructor takes its fields.  Nested functions are exempt."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, defaulted(node, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+        if fields and any("dataclass" in ast.unparse(d)
+                          for d in node.decorator_list):
+            yield node.name, node.name, [
+                (f.target.id, i) for i, f in enumerate(fields)
+                if f.value is not None]
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(ast.unparse(d) == "staticmethod"
+                         for d in fn.decorator_list)
+            if fn.name == "__init__":
+                yield node.name, node.name, defaulted(fn, 1)
+            elif not fn.name.startswith("_"):
+                yield fn.name, f"{node.name}.{fn.name}", defaulted(
+                    fn, 0 if static else 1)
+
+
+def named_calls(tree):
+    """(called name, call) of each call; ``cls(...)`` in a class body calls
+    that class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield getattr(func, "id", getattr(func, "attr", None)), node
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, call) for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "cls")
+
+
+def passed(files):
+    """For each called name, the keywords and the positional count of every
+    call to it; ``None`` for a call with ``*args`` or ``**kwargs``."""
+    calls = {}
+    for path in files:
+        for name, node in named_calls(ast.parse(path.read_text())):
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                None if starred else ({k.arg for k in node.keywords},
+                                      len(node.args)))
+    return calls
+
+
+def test_every_default_is_passed():
+    package = sorted((ROOT / "src" / "nhppbayes").glob("*.py"))
+    calls = passed(package + sorted(ROOT.glob("demos/*.py"))
+                   + sorted(ROOT.glob("bench/*.py"))
+                   + sorted(ROOT.glob("tests/*.py")))
+    unpassed = []
+    for path in package:
+        for name, where, params in signatures(ast.parse(path.read_text())):
+            for param, position in params:
+                if not any(call is None or param in call[0]
+                           or (position is not None and position < call[1])
+                           for call in calls.get(name, [])):
+                    unpassed.append(f"{path.stem}.{where}({param})")
+    assert not unpassed, f"defaulted but passed by no call: {unpassed}"

@@ -186,23 +186,23 @@ class TestPoissonDerivativeIdentity:
 
 class TestDominationStudy:
     def test_positive_table(self):
-        report = domination_study(TWO_PI, [(0.0, TWO_PI - 1.0)],
+        report = domination_study(TWO_PI, 0.0,
                                   [0.1, 1.0, 4 * math.pi, 50.0], 1.0)
         assert len(report.entries) == 4
         assert all(e.estimate > 0 for e in report.entries)
 
     def test_boundary_base_mass(self):
-        report = domination_study(1.0, [(0.0, 0.0)], [1.0], 1.0)
+        report = domination_study(1.0, 0.0, [1.0], 1.0)
         assert not report.entries
         assert any("boundary" in n for n in report.notes)
 
     def test_reports_precondition_violation(self):
-        report = domination_study(2.0, [(1.5, 1.0)], [1.0], 1.0)
+        report = domination_study(2.0, 1.5, [1.0], 1.0)
         assert not report.entries
         assert any("violates" in n for n in report.notes)
 
     def test_csv_roundtrip(self, tmp_path):
-        report = domination_study(TWO_PI, [(0.0, TWO_PI - 1.0)], [1.0], 1.0)
+        report = domination_study(TWO_PI, 0.0, [1.0], 1.0)
         path = tmp_path / "study.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()
