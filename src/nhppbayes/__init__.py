@@ -23,8 +23,8 @@ from .risk import (IntegralRepresentationCheck, RiskEntry, RiskReport,
                    poisson_derivative_identity, poisson_log_shift_bound,
                    poisson_pmf_series, predictive_risk_mc,
                    weight_risk_difference_exact)
-from .simulate import (RngStream, derive_seed, log_pattern_density, sample_base,
-                       sample_crp, sample_nhpp)
+from .simulate import (RngStream, derive_seed, log_pattern_density, sample_crp,
+                       sample_nhpp)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "poisson_pmf_series", "posterior_lambda_bar", "posterior_weight_mean",
     "predictive_count_params", "predictive_point_logdensity",
     "predictive_risk_mc", "quadrature", "quadrature_checked", "run_mcmc",
-    "sample_base", "sample_crp", "sample_nhpp", "validate",
+    "sample_crp", "sample_nhpp", "validate",
     "weight_risk_difference_exact",
 ]

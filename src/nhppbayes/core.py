@@ -34,7 +34,7 @@ class Window:
     """Observation region: either the unit circle [0, 2*pi) or an interval.
 
     Circle arithmetic wraps modulo 2*pi.  Interval bounds must be finite
-    and satisfy a < b.
+    and satisfy a < b, and the length b - a (the base mass) must be finite.
     """
 
     kind: str
@@ -48,9 +48,9 @@ class Window:
             object.__setattr__(self, "a", 0.0)
             object.__setattr__(self, "b", TWO_PI)
         elif not (math.isfinite(self.a) and math.isfinite(self.b)
-                  and self.b > self.a):
-            raise ModelError(
-                f"interval needs finite a < b, got [{self.a}, {self.b}]")
+                  and 0 < self.b - self.a < math.inf):
+            raise ModelError(f"interval needs finite a < b and a finite "
+                             f"length b - a, got [{self.a}, {self.b}]")
 
     @classmethod
     def circle(cls) -> "Window":
@@ -125,12 +125,13 @@ def quadrature_checked(f: Callable, window: Window):
     return fine, abs(fine - coarse) / scale
 
 
-def cdf_table(window: Window, density: Callable, n: int = QUAD_NODES):
-    """Nodes and normalized CDF of a nonnegative density on n trapezoid cells.
+def cdf_table(window: Window, density: Callable):
+    """Nodes and normalized CDF of a nonnegative density on QUAD_NODES cells.
 
     On the circle the last node is 2*pi, where the density takes its value
     at 0, so the table covers the whole circle.
     """
+    n = QUAD_NODES
     if window.is_circle:
         nodes = np.arange(n + 1) * (TWO_PI / n)
         dens = density(np.mod(nodes, TWO_PI))
@@ -154,15 +155,6 @@ def invert_cdf(table, u):
     width = cdf[idx + 1] - cdf[idx]
     frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
     return nodes[idx] + frac * (nodes[idx + 1] - nodes[idx])
-
-
-def _cached_cdf_table(owner, density: Callable):
-    """cdf_table on the owner's window, cached on the (frozen) owner."""
-    cached = owner.__dict__.get("_cdf_table")
-    if cached is None:
-        cached = cdf_table(owner.window, density)
-        object.__setattr__(owner, "_cdf_table", cached)
-    return cached
 
 
 @dataclass(frozen=True)
@@ -293,31 +285,31 @@ class IntensityModel:
         return self(u) / self.total_mass
 
     def shape_cdf_table(self):
-        """Tabulated CDF of the normalized shape (cached)."""
-        return _cached_cdf_table(self, self)
+        """Tabulated CDF of the normalized shape (cached on the model)."""
+        cached = self.__dict__.get("_cdf_table")
+        if cached is None:
+            cached = cdf_table(self.window, self)
+            object.__setattr__(self, "_cdf_table", cached)
+        return cached
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """The shrinkage prior family over intensity measures.
 
-    Parameters are the base measure (a strictly positive density with total
-    mass ``total_mass_alpha``), the gamma-weight scale ``beta`` (a finite
-    positive float, or ``None`` for the improper infinite-scale limit), and
-    the shrinkage exponent ``gamma``.  ``gamma = 0`` is the non-shrinkage
-    member; ``gamma = total_mass_alpha - 1`` is the dominating choice.
+    The base measure is the uniform unit density on the window, so its total
+    mass |alpha| (``total_mass_alpha``) is the window length.  The other
+    parameters are the gamma-weight scale ``beta`` (a finite positive float,
+    or ``None`` for the improper infinite-scale limit) and the shrinkage
+    exponent ``gamma``.  ``gamma = 0`` is the non-shrinkage member;
+    ``gamma = total_mass_alpha - 1`` is the dominating choice.
     """
 
     window: Window
-    base_density: Callable = field(repr=False)
-    total_mass_alpha: float = TWO_PI
     beta: Optional[float] = None
     gamma: float = 0.0
-    uniform_base: bool = False
 
     def __post_init__(self):
-        if not self.total_mass_alpha > 0:
-            raise ModelError("base measure must have positive total mass")
         if self.beta is not None and not self.beta > 0:
             raise ModelError("beta must be positive or None (improper)")
         if not -math.inf < self.gamma < self.total_mass_alpha:
@@ -327,9 +319,13 @@ class PriorSpec:
     @classmethod
     def uniform_unit(cls, window: Window, beta: Optional[float] = None,
                      gamma: float = 0.0) -> "PriorSpec":
-        """Base density identically 1 on the window (mass = window length)."""
-        return cls(window, lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                   window.length, beta, gamma, uniform_base=True)
+        """The prior on ``window``, whose base density is identically 1."""
+        return cls(window, beta, gamma)
+
+    @property
+    def total_mass_alpha(self) -> float:
+        """|alpha|, the base measure's total mass: the window length."""
+        return self.window.length
 
     @property
     def is_improper(self) -> bool:
@@ -341,17 +337,7 @@ class PriorSpec:
         return self.total_mass_alpha - self.gamma
 
     def with_gamma(self, gamma: float) -> "PriorSpec":
-        return PriorSpec(self.window, self.base_density, self.total_mass_alpha,
-                         self.beta, gamma, self.uniform_base)
-
-    def base_cdf_table(self):
-        """Tabulated CDF of the base shape (cached)."""
-        def density(u):
-            dens = np.asarray(self.base_density(u), dtype=float)
-            if np.any(dens <= 0):
-                raise ModelError("base density must be strictly positive")
-            return dens
-        return _cached_cdf_table(self, density)
+        return PriorSpec(self.window, self.beta, gamma)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ it is used without truncation renormalization, so a small amount of mass can
 leak outside the window when atoms sit near the boundary.  Model validation
 flags leakage beyond the integration tolerance, the simulator drops the points
 that land outside, and the base-measure term of the posterior
-(``posterior.base_predictive``) integrates the kernel over the window only.
+(``posterior.base_predictive``) integrates the kernel over the window only, in
+closed form.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -56,11 +57,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (TWO_PI, IntensityModel, ModelError, Window, cdf_table,
-                   invert_cdf)
+from .core import TWO_PI, IntensityModel, ModelError, Window
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
-_TABLE_NODES = 2048  # table cells of a non-uniform-base posterior draw
 _SERIES_TOL = 1e-17  # smallest Bessel ratio I_n / I0 the series keeps
 # most terms a von Mises spec may keep; about sqrt(2 kappa log(1 / tol)) =
 # 8.85 sqrt(kappa) are kept, so kappa may reach about 1.3e8
@@ -284,20 +283,16 @@ def member_stats(spec: KernelSpec, x: float):
     return x, x * x
 
 
-def sample_kernel_posterior(spec: KernelSpec, prior, x: float, gen,
+def sample_kernel_posterior(spec: KernelSpec, x: float, gen,
                             size: int) -> np.ndarray:
-    """``size`` draws of u from the density proportional to k(x, u) alpha(u).
+    """``size`` draws of u from the density proportional to k(x, u) on the
+    window (the uniform unit base).
 
-    With a uniform base this is the kernel centered at x, truncated to the
-    window for the Gaussian (an exact inverse-normal-CDF draw between the
-    window edges); otherwise a tabulated inverse-CDF draw from one table on
-    the window.  The Gaussian and tabulated paths take one uniform per draw.
+    This is the kernel centered at x, truncated to the window for the
+    Gaussian: an exact inverse-normal-CDF draw between the window edges, one
+    uniform per draw.
     """
     window = spec.window
-    if not prior.uniform_base:
-        table = cdf_table(window, lambda u: eval_kernel(spec, x, u)
-                          * np.asarray(prior.base_density(u)), _TABLE_NODES)
-        return invert_cdf(table, gen.random(size))
     if spec.kind == "von_mises":
         return np.mod(gen.vonmises(x, spec.kappa, size), TWO_PI)
     # imported here, the only scipy use in the package: importing

@@ -5,8 +5,9 @@ The weight posterior is closed form: its mean is (|alpha| - gamma + N)
 divided by (s + 1/beta), with the improper limit dropping the 1/beta term.
 The shape posterior is a Dirichlet-process mixture handled by MCMC over the
 latent clustering of the observations, using auxiliary-component Gibbs
-reassignment (a handful of fresh candidate locations per step) plus a
-random-walk Metropolis refresh of each cluster location every sweep.
+reassignment (a handful of fresh candidate locations per step, uniform on
+the window like the base measure) plus a random-walk Metropolis refresh of
+each cluster location every sweep.
 
 ``run_mcmc`` keeps its draws as one flat table, ``McmcResult``: a draws x N
 array of cluster ranks, the locations and member counts of every kept atom
@@ -33,7 +34,7 @@ import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
 from .kernels import KernelSpec, member_stats, mixture_density, mixture_series
-from .simulate import RngLike, as_generator, sample_base
+from .simulate import RngLike, as_generator
 
 
 # Chain tuning: fresh candidate locations per reassignment step (Neal's
@@ -115,7 +116,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
     The chain targets the distribution proportional to
     prod_l k(x_l, u_{c(l)}) times the Chinese-restaurant prior on the
-    partition and base-measure draws for the cluster locations.  The
+    partition and uniform base draws for the cluster locations.  The
     empty-pattern posterior equals the prior: that case returns a zero-draw
     table and takes nothing from the generator.
     """
@@ -138,7 +139,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     # scalar fast paths: kernel weights are inlined in the sweep loop below
     # (normalizing constants cancel in every categorical draw, so the von
     # Mises weight is scaled by exp(-kappa) to stay finite at large kappa)
-    cos, sin, exp, log = math.cos, math.sin, math.exp, math.log
+    cos, sin, exp = math.cos, math.sin, math.exp
     von_mises = kernel.kind == "von_mises"
     if von_mises:
         kap = kernel.kappa
@@ -150,12 +151,6 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
         def refresh_delta(u, up, s0, s1, n):
             return inv2s2 * (2.0 * s0 * (up - u) - n * (up * up - u * u))
-
-    if prior.uniform_base:
-        log_base = None
-    else:
-        def log_base(u, _f=prior.base_density):
-            return log(float(_f(u)))
 
     # state: slot tables with a free list; observation i sits in slot assign[i]
     stats = [member_stats(kernel, x) for x in xs]
@@ -180,7 +175,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
     for sweep in range(total_sweeps):
         cat_u = gen.random(n_obs).tolist()
-        aux_flat = sample_base(prior, n_obs * m_aux, gen).tolist()
+        aux_flat = gen.uniform(win_a, win_b, n_obs * m_aux).tolist()
 
         for i in range(n_obs):
             xi = xs[i]
@@ -255,8 +250,6 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
                 proposals += 1
                 continue
             delta = refresh_delta(u, up, cs0[sid], cs1[sid], counts[sid])
-            if log_base is not None:
-                delta += log_base(up) - log_base(u)
             proposals += 1
             if delta >= 0.0 or accept_u[j] < exp(delta):
                 locs[sid] = up
@@ -278,19 +271,19 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
 def base_predictive(prior: PriorSpec, kernel: KernelSpec,
                     grid: np.ndarray) -> np.ndarray:
-    """integral of k(y, u) alpha(du) at the points of ``grid``.
+    """integral of k(y, u) alpha(du) at the points of ``grid``, in closed form.
 
-    For the uniform unit base on the circle this is identically 1 (the kernel
-    integrates to one); otherwise it is computed by quadrature over the
-    window, which on an interval leaves out the Gaussian mass beyond the
-    edges.
+    On the circle the von Mises kernel integrates to one, so this is 1.  On
+    an interval [a, b] it is the Gaussian mass inside the window,
+    Phi((b - y) / sigma) - Phi((a - y) / sigma), taken through ``math.erf``.
     """
-    if prior.uniform_base and prior.window.is_circle \
-            and abs(prior.total_mass_alpha - prior.window.length) < 1e-12:
+    window = prior.window
+    if window.is_circle:
         return np.ones(grid.size)
-    nodes, weights = prior.window.quad_nodes()
-    dens = np.asarray(prior.base_density(nodes), dtype=float) * weights
-    return mixture_density(kernel, nodes, dens, grid)
+    scale = kernel.sigma * math.sqrt(2.0)
+    return np.array([0.5 * (math.erf((window.b - y) / scale)
+                            - math.erf((window.a - y) / scale))
+                     for y in grid.tolist()])
 
 
 def posterior_lambda_bar(draws: McmcResult, prior: PriorSpec,

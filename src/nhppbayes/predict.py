@@ -158,7 +158,7 @@ def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
         cells[-1, join, every_row] += 1.0
         r = np.flatnonzero(new)
         cells[:-1, used[r], r] = kernel_table(kernel, sample_kernel_posterior(
-            kernel, prior, y, gen, r.size))
+            kernel, y, gen, r.size))
         used += new
         denom += 1.0
 

@@ -53,7 +53,10 @@ def _kl_from_values(true_vals, est_vals, quad_weights, t: float) -> float:
     if np.any(true_vals <= 0):
         raise ModelError("true intensity must be strictly positive")
     integrand = est_vals - true_vals + true_vals * np.log(true_vals / est_vals)
-    return t * float(np.dot(quad_weights, integrand))
+    loss = t * float(np.dot(quad_weights, integrand))
+    if not math.isfinite(loss):
+        raise ModelError(f"the divergence at t = {t!r} is not finite: {loss}")
+    return loss
 
 
 def kl_intensity(true_model: IntensityModel, est_model: IntensityModel,

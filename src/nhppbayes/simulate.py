@@ -1,4 +1,4 @@
-"""Exact sampling of point-process realizations, the base measure and the
+"""Exact sampling of point-process realizations and of the
 Chinese-restaurant prior.
 
 Reproducibility contract: every sampler takes an RngStream (a seed plus a
@@ -129,7 +129,7 @@ def sample_crp(prior: PriorSpec, n: int, rng: RngLike):
     if n == 0:
         return locations, labels
     base_u = gen.random(n)          # decision uniforms, one per customer
-    fresh = sample_base(prior, n, gen)
+    fresh = gen.uniform(prior.window.a, prior.window.b, n)
     fresh_used = 0
     for k in range(n):
         if k == 0 or base_u[k] * (theta + k) < theta:
@@ -143,12 +143,4 @@ def sample_crp(prior: PriorSpec, n: int, rng: RngLike):
             labels[k] = labels[j]
         locations[k] = table_locs[labels[k]]
     return locations, labels
-
-
-def sample_base(prior: PriorSpec, size: int, gen: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws from the normalized base measure."""
-    window = prior.window
-    if prior.uniform_base:
-        return gen.uniform(window.a, window.b, size)
-    return invert_cdf(prior.base_cdf_table(), gen.random(size))
 

@@ -29,12 +29,6 @@ def uniform_prior(circle):
     return PriorSpec.uniform_unit(circle)
 
 
-@pytest.fixture(scope="session")
-def cosine_prior(circle):
-    """A smooth non-uniform base, 1 + cos(u)/2 on the circle (mass 2*pi)."""
-    return PriorSpec(circle, lambda u: 1.0 + 0.5 * np.cos(u), 2.0 * math.pi)
-
-
 def draw_table(per_draw):
     """A chain's draw table holding the given (locations, counts) draws.
 

@@ -251,6 +251,26 @@ class TestPredict:
         assert lines[0] == "pattern,count,log_score"
         assert len(lines) == 2
 
+    def test_narrow_kernel_on_a_long_window(self, tmp_path, capsys):
+        # sigma = 0.1 on [0, 10000], one future point far from the pattern:
+        # the clusters add nothing, so the score is the count layer's
+        # log pmf plus log(base term / (|alpha| + N)), and the base term is
+        # exactly 1 inside the window
+        pat = tmp_path / "x.csv"
+        pat.write_text("location\n100\n2000\n")
+        futures = []
+        for name, y in (("a.csv", 3312.34), ("b.csv", 3000.0)):
+            (tmp_path / name).write_text(f"location\n{y}\n")
+            futures += ["--future", str(tmp_path / name)]
+        code, out, _ = run(["predict", "--window", "0,10000", "--kernel",
+                            "gaussian", "--sigma", "0.1", "--pattern", str(pat),
+                            *futures, *SHORT_CHAIN], capsys)
+        assert code == 0
+        exact = predict.nb_log_pmf(10002.0, 0.5, 1) - math.log(10002.0)
+        assert f"{exact:.6f}" == "-6933.551247"
+        scores = re.findall(r"log_score=(\S+)", out)
+        assert scores == [f"{exact:.6f}"] * 2
+
     def test_requires_future(self, tmp_path, capsys):
         pat = tmp_path / "x.csv"
         main(["simulate", "--seed", "7", "--out", str(pat)])
@@ -341,6 +361,25 @@ class TestRisk:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 141
         assert "Traceback" not in err and "Error" not in err
+
+    def test_overflowing_loss_stops_at_its_replication(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # t * divergence overflows in the first replication, which exits 2
+        # there rather than after all 50 chains
+        chains = []
+        run_mcmc = risk.run_mcmc
+
+        def counted(*args, **kwargs):
+            chains.append(1)
+            return run_mcmc(*args, **kwargs)
+        monkeypatch.setattr(risk, "run_mcmc", counted)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["risk", "--check", "estimation", "--t", "1e308",
+                            "--replications", "50", "--burn-in", "2",
+                            "--samples", "2"], capsys)
+        assert code == 2
+        assert "not finite" in err
+        assert len(chains) == 1
 
     def test_study_never_overwrites_itself(self, tmp_path, capsys, no_chain):
         spec = predictive_study(tmp_path)
@@ -443,6 +482,9 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
     ["predict", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--t", "inf", *SHORT_CHAIN],
+    ["predict", "--kernel", "gaussian", "--window=-1e308,1e308",
+     *SHORT_CHAIN],
+    ["estimate", "--kernel", "gaussian", "--window=-1e308,1e308"],
 ], ids=" ".join)
 def test_bad_input_exits_2(argv, tmp_path, capsys, no_chain):
     # a configuration error, never a traceback or a silently wrong result,
@@ -508,6 +550,9 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
 # non-number, any other option (a path, window or intensity) gets them all.
 NUMBERS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e308"]
 TEXTS = ["abc", "1,", "const:", "no/such/file"]
+# intervals at the edges of what a window takes: a length that overflows,
+# one that is subnormal, reversed bounds and a nan bound
+WINDOWS = ["0,1e308", "-1e308,1e308", "0,1e-320", "4,0", "nan,1"]
 # small chains and grids, and the input patterns, where the run reads them
 CHEAP = {"pattern": "p.csv", "future": "p.csv", "burn_in": "2",
          "samples": "2", "thin": "1", "replications": "2", "nodes": "1",
@@ -522,6 +567,8 @@ def hostile(action):
         return ["bogus"]
     if action.type in (int, float):
         return NUMBERS + TEXTS[:1]
+    if action.dest == "window":
+        return NUMBERS + TEXTS + WINDOWS
     return NUMBERS + TEXTS
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -23,6 +25,13 @@ class TestWindow:
             Window.interval(1.0, 1.0)
         with pytest.raises(ModelError):
             Window.interval(2.0, -1.0)
+
+    def test_interval_needs_finite_length(self):
+        # |alpha| is the window length, so an overflowing b - a is rejected
+        # here, naming the window, rather than deep inside a command
+        with pytest.raises(ModelError, match=re.escape("[-1e+308, 1e+308]")):
+            Window.interval(-1e308, 1e308)
+        assert Window.interval(0.0, 1e308).length == 1e308
 
     def test_circle_wraps(self):
         w = Window.circle()
@@ -159,7 +168,16 @@ class TestPriorSpec:
         shrunk = prior.with_gamma(TWO_PI - 1.0)
         assert shrunk.gamma == TWO_PI - 1.0
         assert shrunk.total_mass_alpha == prior.total_mass_alpha
-        assert shrunk.uniform_base
+        assert (shrunk.window, shrunk.beta) == (prior.window, prior.beta)
+
+    def test_base_is_the_uniform_unit_density(self):
+        # the window and the weight law's beta and gamma are the whole spec;
+        # |alpha| follows from the window
+        assert [f.name for f in dataclasses.fields(PriorSpec)] == \
+            ["window", "beta", "gamma"]
+        prior = PriorSpec.uniform_unit(Window.interval(-1.0, 2.5), 4.0, 0.5)
+        assert prior.total_mass_alpha == 3.5
+        assert prior.weight_shape == 3.0
 
 
 def test_all_lists_every_public_name_once():

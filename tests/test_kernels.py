@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import peak_traced_mb
-from nhppbayes import (KernelSpec, ModelError, PriorSpec, Window, bessel_i0,
-                       eval_kernel, mixture_density, mixture_intensity,
-                       quadrature, validate)
+from nhppbayes import (KernelSpec, ModelError, Window, bessel_i0, eval_kernel,
+                       mixture_density, mixture_intensity, quadrature,
+                       validate)
 from nhppbayes.kernels import (_bessel_ratios, eval_table, kernel_table,
                                mixture_series, sample_kernel_posterior)
 
@@ -156,8 +156,8 @@ class TestEvalKernel:
         # numpy's vonmises rejects kappa = -0.0 by its sign bit
         spec = KernelSpec.von_mises(-0.0)
         assert math.copysign(1.0, spec.kappa) == 1.0
-        draws = sample_kernel_posterior(spec, PriorSpec.uniform_unit(
-            spec.window), 1.0, np.random.default_rng(0), 4)
+        draws = sample_kernel_posterior(spec, 1.0, np.random.default_rng(0),
+                                        4)
         assert np.all((draws >= 0) & (draws < TWO_PI))
 
     @pytest.mark.parametrize("sigma", [1e-320, 1e-160, 1e155, 1e308])
@@ -202,37 +202,14 @@ class TestNormalization:
 
 
 class TestSampleKernelPosterior:
-    def test_non_uniform_base_draw_is_continuous(self, vm5, circle,
-                                                 cosine_prior):
-        # target density proportional to k(x, u) (1 + cos(u)/2); the draws
-        # must not sit on the table nodes and must match its bin masses
-        from scipy import stats
-        x = 1.0
-        gen = np.random.default_rng(3)
-        draws = sample_kernel_posterior(vm5, cosine_prior, x, gen, 4000)
-        nodes = circle.grid(2048)
-        assert not np.any(np.isin(draws, nodes))
-        fine = np.linspace(0.0, TWO_PI, 1 << 16, endpoint=False)
-        dens = eval_kernel(vm5, x, fine) * (1.0 + 0.5 * np.cos(fine))
-        edges = np.linspace(0.0, TWO_PI, 17)
-        masses = np.histogram(fine, bins=edges, weights=dens)[0]
-        masses /= masses.sum()
-        observed = np.histogram(draws, bins=edges)[0]
-        keep = masses * draws.size >= 5.0
-        expected = masses[keep] * draws.size
-        obs = observed[keep]
-        assert stats.chisquare(obs, expected * obs.sum() / expected.sum()
-                               ).pvalue > 0.001
-
     def test_gaussian_truncated_draw_is_exact_and_bounded(self):
         # uniform base on an interval: the kernel truncated to the window,
         # drawn with a single uniform however little mass the window holds
         from scipy import stats
         window = Window.interval(0.0, 4.0)
         spec = KernelSpec.gaussian(1.0, window)
-        prior = PriorSpec.uniform_unit(window)
         gen = np.random.default_rng(5)
-        draws = sample_kernel_posterior(spec, prior, 0.2, gen, 4000)
+        draws = sample_kernel_posterior(spec, 0.2, gen, 4000)
         assert np.all((draws >= 0.0) & (draws <= 4.0))
         target = stats.truncnorm(-0.2, 3.8, loc=0.2, scale=1.0)
         assert stats.kstest(draws, target.cdf).pvalue > 0.001
@@ -240,8 +217,7 @@ class TestSampleKernelPosterior:
         spec = KernelSpec.gaussian(10.0, narrow)
         gen = np.random.default_rng(6)
         twin = np.random.default_rng(6)
-        u = sample_kernel_posterior(spec, PriorSpec.uniform_unit(narrow), 0.0,
-                                    gen, 1)
+        u = sample_kernel_posterior(spec, 0.0, gen, 1)
         twin.random()
         assert gen.bit_generator.state == twin.bit_generator.state
         assert u.shape == (1,) and 0.0 <= u[0] <= 1e-3
@@ -252,14 +228,13 @@ class TestSampleKernelPosterior:
             import sys
             import numpy as np
             import nhppbayes, nhppbayes.cli
-            from nhppbayes import KernelSpec, PriorSpec, Window
+            from nhppbayes import KernelSpec, Window
             from nhppbayes.kernels import sample_kernel_posterior
             loaded = [m for m in sys.modules if m.startswith("scipy")]
             assert not loaded, loaded
             window = Window.interval(0.0, 4.0)
-            u = sample_kernel_posterior(
-                KernelSpec.gaussian(1.0, window), PriorSpec.uniform_unit(window),
-                3.9, np.random.default_rng(1), 100)
+            u = sample_kernel_posterior(KernelSpec.gaussian(1.0, window), 3.9,
+                                        np.random.default_rng(1), 100)
             assert u.shape == (100,) and np.all((u >= 0.0) & (u <= 4.0))
         """)
         env = dict(os.environ, PYTHONPATH=str(SRC))

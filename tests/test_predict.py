@@ -18,9 +18,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def _alpha_integral(prior, kernel, ys):
-    """integral of prod_i k(y_i, u) alpha(du) over the window, by quadrature."""
+    """integral of prod_i k(y_i, u) du over the window (the uniform unit
+    base), by quadrature."""
     nodes, wts = prior.window.quad_nodes(4096)
-    integrand = np.asarray(prior.base_density(nodes), dtype=float)
+    integrand = np.ones(nodes.size)
     for y in ys:
         integrand = integrand * eval_kernel(kernel, y, nodes)
     return float(wts @ integrand)
@@ -57,7 +58,7 @@ def _loop_point_logdensity(draws, prior, kernel, ys, pattern, gen, aug):
                 if pick < acc:
                     break
             counts[c] += 1
-        new = sample_kernel_posterior(kernel, prior, y, gen, len(opened))
+        new = sample_kernel_posterior(kernel, y, gen, len(opened))
         for r, u in zip(opened, new):
             states[r][0].append(u)
             states[r][1].append(1)
@@ -185,25 +186,9 @@ class TestPointLayer:
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - oracle) < 3 * se
 
-    def test_one_draw_one_point_closed_form_non_uniform_base(
-            self, circle, vm5, cosine_prior):
-        # (base term + sum_c n_c k(y, u_c)) / (|alpha| + N), with the base
-        # term from its closed form 1 + I1(k)/I0(k) cos(y) / 2
-        from scipy.special import i0, i1
-        pattern = PointPattern(circle, [0.9, 1.1, 4.2])
-        draws = draw_table([([1.0, 4.0], [2, 1])])
-        y = 2.5
-        base = 1.0 + 0.5 * float(i1(5.0) / i0(5.0)) * math.cos(y)
-        clusters = 2.0 * eval_kernel(vm5, y, 1.0) + eval_kernel(vm5, y, 4.0)
-        closed = (base + float(clusters)) / (TWO_PI + 3.0)
-        log_val = predictive_point_logdensity(draws, cosine_prior, vm5,
-                                              [y], pattern, RngStream(75),
-                                              aug_replicates=1)
-        assert math.exp(log_val) == pytest.approx(closed, rel=1e-12)
-
-    @pytest.mark.parametrize("path", ["uniform", "cosine", "gaussian"])
+    @pytest.mark.parametrize("path", ["uniform", "gaussian"])
     def test_two_points_one_draw_closed_form(self, path, circle, vm5,
-                                             uniform_prior, cosine_prior):
+                                             uniform_prior):
         # M = 2 given one fixed clustering: the first point scores
         # (b1 + S1)/(|alpha| + N), then joins cluster c with weight
         # n_c k(y1, u_c) or opens one at u ~ k(y1, u) alpha(du), so the
@@ -215,8 +200,7 @@ class TestPointLayer:
             prior = PriorSpec.uniform_unit(window)
             locs, ys = [0.8, 3.1], [0.3, 1.9]
         else:
-            window, kernel = circle, vm5
-            prior = uniform_prior if path == "uniform" else cosine_prior
+            window, kernel, prior = circle, vm5, uniform_prior
             locs, ys = [1.0, 4.0], [1.4, 2.5]
         pattern = PointPattern(window, [locs[0], locs[0], locs[1]])
         draws = draw_table([(locs, [2, 1])])
@@ -257,11 +241,11 @@ class TestPointLayer:
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
 
-    @pytest.mark.parametrize("path", ["uniform", "cosine", "gaussian",
-                                      "empty", "kappa0.5", "kappa50",
-                                      "kappa800", "long"])
+    @pytest.mark.parametrize("path", ["uniform", "gaussian", "empty",
+                                      "kappa0.5", "kappa50", "kappa800",
+                                      "long"])
     def test_matches_scalar_loop_reference(self, path, circle, vm5,
-                                           uniform_prior, cosine_prior):
+                                           uniform_prior):
         # same stream, same sums up to the von Mises trig expansion: the
         # slot-major bookkeeping (rows, used slots, joins, new clusters)
         # equals plain loops and leaves the generator where they leave it
@@ -271,8 +255,7 @@ class TestPointLayer:
             kernel = KernelSpec.gaussian(0.5, window)
             prior = PriorSpec.uniform_unit(window)
         else:
-            window, kernel = circle, vm5
-            prior = cosine_prior if path == "cosine" else uniform_prior
+            window, kernel, prior = circle, vm5, uniform_prior
         if path.startswith("kappa"):
             kernel = KernelSpec.von_mises(float(path[5:]), circle)
         if path == "long":

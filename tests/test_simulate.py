@@ -7,8 +7,7 @@ from scipy import stats
 
 from conftest import poisson_gof_pvalue
 from nhppbayes import (IntensityModel, ModelError, PriorSpec, RngStream,
-                       mixture_intensity, sample_base, sample_crp,
-                       sample_nhpp)
+                       mixture_intensity, sample_crp, sample_nhpp)
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,17 +129,6 @@ class TestSampleNhpp:
         assert mass == pytest.approx(5.0, abs=1e-3)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - mass) < 4 * se
-
-
-class TestSampleBase:
-    def test_non_uniform_base_bin_masses(self, cosine_prior):
-        # chi-square against the exact bin masses of (1 + cos(u)/2) / (2 pi)
-        edges = np.linspace(0.0, TWO_PI, 17)
-        masses = (np.diff(edges) + 0.5 * np.diff(np.sin(edges))) / TWO_PI
-        draws = sample_base(cosine_prior, 40_000, RngStream(59).generator())
-        assert np.all((draws >= 0.0) & (draws <= TWO_PI))
-        observed = np.histogram(draws, bins=edges)[0]
-        assert stats.chisquare(observed, masses * draws.size).pvalue > 0.001
 
 
 class TestSampleCrp:
