@@ -24,10 +24,11 @@ config file's values reach the next run.
 
 An option that the run does not read, set away from its built-in default by
 a flag or by the config file, exits 2 before any chain runs.  ``risk`` reads
-seed and the options ``RISK_OPTIONS`` lists for its kind; ``estimate`` and
-``predict`` read ``--sigma`` only under the Gaussian kernel and ``--kappa``
-only under von Mises; the other commands read every option.  The echo shows
-an unread option at its built-in value, so it still reruns.
+seed and the options ``RISK_OPTIONS`` lists for its kind.  In ``estimate``
+and ``predict`` the window picks the kernel, von Mises on the circle and
+Gaussian on an interval, so they read ``--kappa`` only on the circle and
+``--sigma`` only on an interval; the other commands read every option.  The
+echo shows an unread option at its built-in value, so it still reruns.
 
 ``risk --check KIND`` names the run, and so does a config file's ``kind``
 key: a study file is a ``risk`` config file, and ``--study`` is a second
@@ -38,7 +39,7 @@ gamma against abs_alpha - 1 over w_grid.  The three studies write a CSV
 report to ``--out`` (default ``risk_report.csv``) and a JSON one beside it;
 ``theorem4`` writes the CSV only when ``--out`` is given.  The study keys
 ``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are retired for
-``--gamma`` and ``--w-grid``.
+``--gamma`` and ``--w-grid``, and ``--kernel`` for ``--window``.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def _load_pattern(path, window: Window) -> PointPattern:
 
 
 def _build_kernel(args, window: Window) -> KernelSpec:
-    if args.kernel == "gaussian":
-        return KernelSpec.gaussian(args.sigma, window)
-    return KernelSpec.von_mises(args.kappa, window)
+    if window.is_circle:
+        return KernelSpec.von_mises(args.kappa, window)
+    return KernelSpec.gaussian(args.sigma, window)
 
 
 def _gammas(args, prior_mass: float) -> list:
@@ -319,8 +320,8 @@ def _check_reads(args, built_in: dict) -> None:
         reads = {"config", "kind", "seed", *RISK_OPTIONS[args.kind]}
         unread = [key for key in vars(args) if key not in reads]
     elif args.command in ("estimate", "predict"):
-        run = f"{args.command} --kernel {args.kernel}"
-        unread = ["sigma" if args.kernel == "von_mises" else "kappa"]
+        run = f"{args.command} --window {args.window}"
+        unread = ["sigma" if args.window == "circle" else "kappa"]
     else:
         return
     unread = [key for key in unread
@@ -356,7 +357,7 @@ def cmd_figure1(args) -> int:
     pattern = PointPattern(Window.circle(), np.asarray(FIGURE1_POINTS))
     pattern.to_csv(path("figure1_pattern.csv"))
     fixed = argparse.Namespace(
-        **vars(args), kernel="von_mises", gamma=[0.0], shrink=True,
+        **vars(args), gamma=[0.0], shrink=True,
         json=path("figure1_estimates.json"), csv=path("figure1_estimates.csv"),
         svg=path("figure1.svg"), true_intensity="sine2")
     return _estimate(fixed, pattern, "shrinkage vs non-shrinkage")
@@ -438,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exposure of the observed pattern")
 
     def model(p):
-        p.add_argument("--window", default="circle", help="'circle' or 'a,b'")
-        p.add_argument("--kernel", choices=["von_mises", "gaussian"],
-                       default="von_mises")
+        p.add_argument("--window", default="circle",
+                       help="'circle' (von Mises kernel) or 'a,b' (Gaussian)")
         p.add_argument("--sigma", type=float, default=1.0)
 
     def chain(p):

@@ -175,6 +175,10 @@ def eval_kernel(spec: KernelSpec, y, u):
         np.cos(out, out=out)
         out *= spec.kappa
     else:
+        # past |d| = 1e3 sigma the kernel is exactly 0 for every accepted
+        # sigma (|log_norm| < 710); the clamp keeps d / sigma and its square
+        # finite
+        np.clip(out, -1e3 * spec.sigma, 1e3 * spec.sigma, out=out)
         out /= spec.sigma
         out *= out
         out *= -0.5
@@ -206,18 +210,17 @@ def eval_table(spec: KernelSpec, y: float, table) -> np.ndarray:
 def mixture_density(spec: KernelSpec, locations, weights, y):
     """Evaluate sum_j m_j k(y, u_j) at the locations y.
 
-    The sum runs over (points x atoms) blocks of at most ``_BLOCK`` elements.
+    The sum runs over (points x atoms) blocks of at most ``_BLOCK`` elements;
+    over no atoms it is 0.
     """
     locs = np.atleast_1d(np.asarray(locations, dtype=float))
     wts = np.atleast_1d(np.asarray(weights, dtype=float))
-    if locs.size == 0:
-        raise ModelError("mixture needs at least one atom")
     if np.any(wts <= 0):
         raise ModelError("atom weights must be positive")
     y = np.asarray(y, dtype=float)
     flat = np.atleast_1d(y).ravel()
     out = np.zeros(flat.size)
-    rows = max(1, _BLOCK // locs.size)  # all atoms at once up to _BLOCK of them
+    rows = max(1, _BLOCK // max(locs.size, 1))  # all atoms up to _BLOCK of them
     cols = _BLOCK // rows
     for lo in range(0, flat.size, rows):
         for a in range(0, locs.size, cols):
@@ -257,6 +260,8 @@ def mixture_intensity(spec: KernelSpec, locations, weights) -> IntensityModel:
     wts = np.atleast_1d(np.asarray(weights, dtype=float)).copy()
     if locs.shape != wts.shape:
         raise ModelError("atom locations and weights must align")
+    if locs.size == 0:
+        raise ModelError("mixture needs at least one atom")
     if np.any(wts <= 0):
         raise ModelError("atom weights must be positive")
     locs.flags.writeable = False

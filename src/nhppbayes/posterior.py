@@ -14,8 +14,8 @@ array of cluster ranks, the locations and member counts of every kept atom
 in draw order, and the per-draw cluster counts that delimit the atoms.  Its
 consumers (the shape estimate, the predictive point layer) read all atoms at
 once.  An empty pattern needs no chain: its posterior shape is the prior, so
-``run_mcmc`` returns a zero-draw table and the estimate is the prior
-predictive.
+``run_mcmc`` returns one draw with no clusters, which every consumer reads
+as it reads any draw; the estimate is then the prior predictive.
 
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
@@ -64,8 +64,9 @@ class McmcResult:
     ``counts`` hold every kept atom in draw order: draw i's k_i atoms follow
     the ``cluster_count_trace[:i].sum()`` atoms of the draws before it.
 
-    An empty pattern gives a zero-draw table; its acceptance rate is
-    reported as None in the diagnostics, since no proposal was made.
+    An empty pattern gives one draw with no clusters (``assignments`` of
+    shape (1, 0)); its acceptance rate is reported as None in the
+    diagnostics, since no proposal was made.
     """
 
     assignments: np.ndarray
@@ -87,8 +88,9 @@ class McmcResult:
     def diagnostics(self) -> dict:
         trace = self.cluster_count_trace
         return {
-            "acceptance_rate": self.acceptance_rate if len(self) else None,
-            "mean_clusters": float(np.mean(trace)) if trace.size else 0.0,
+            "acceptance_rate": (self.acceptance_rate
+                                if self.assignments.shape[1] else None),
+            "mean_clusters": float(np.mean(trace)),
             "cluster_count_trace": trace.tolist(),
             "draws": len(self),
         }
@@ -117,14 +119,14 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     The chain targets the distribution proportional to
     prod_l k(x_l, u_{c(l)}) times the Chinese-restaurant prior on the
     partition and uniform base draws for the cluster locations.  The
-    empty-pattern posterior equals the prior: that case returns a zero-draw
-    table and takes nothing from the generator.
+    empty-pattern posterior equals the prior: that case returns one draw
+    with no clusters and takes nothing from the generator.
     """
     n_obs = pattern.count
     if n_obs == 0:
-        return McmcResult(np.zeros((0, 0), dtype=np.int64), np.zeros(0),
+        return McmcResult(np.zeros((1, 0), dtype=np.int64), np.zeros(0),
                           np.zeros(0, dtype=np.int64),
-                          np.zeros(0, dtype=np.int64), 1.0)
+                          np.zeros(1, dtype=np.int64), 1.0)
     if rng is None:
         raise ModelError("run_mcmc needs an RngStream or Generator")
     gen = as_generator(rng)
@@ -140,8 +142,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     # (normalizing constants cancel in every categorical draw, so the von
     # Mises weight is scaled by exp(-kappa) to stay finite at large kappa)
     cos, sin, exp = math.cos, math.sin, math.exp
-    von_mises = kernel.kind == "von_mises"
-    if von_mises:
+    if circular:
         kap = kernel.kappa
 
         def refresh_delta(u, up, s0, s1, n):
@@ -152,17 +153,16 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
         def refresh_delta(u, up, s0, s1, n):
             return inv2s2 * (2.0 * s0 * (up - u) - n * (up * up - u * u))
 
-    # state: slot tables with a free list; observation i sits in slot assign[i]
+    # state: one record [location, members, stat sum 0, stat sum 1, rank] per
+    # occupied cluster, in ``active`` order; observation i sits in assign[i].
+    # A record leaves ``active`` when its last member does; list.remove can
+    # match no other record, since only that one has 0 members.
     stats = [member_stats(kernel, x) for x in xs]
     sx0 = [s[0] for s in stats]
     sx1 = [s[1] for s in stats]
-    locs = list(xs)                      # init: one singleton cluster per point
-    counts = [1] * n_obs
-    cs0 = list(sx0)
-    cs1 = list(sx1)
-    assign = list(range(n_obs))
-    active = list(range(n_obs))
-    free: list = []
+    # init: one singleton cluster per point
+    assign = [[x, 1, s0, s1, 0] for x, (s0, s1) in zip(xs, stats)]
+    active = list(assign)
 
     kept_assign = []
     kept_locs = []
@@ -179,35 +179,30 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
 
         for i in range(n_obs):
             xi = xs[i]
-            c = assign[i]
-            counts[c] -= 1
-            cs0[c] -= sx0[i]
-            cs1[c] -= sx1[i]
-            singleton = None
-            if counts[c] == 0:
-                singleton = locs[c]
-                active.remove(c)
-                free.append(c)
-
+            rec = assign[i]
+            rec[1] -= 1
+            rec[2] -= sx0[i]
+            rec[3] -= sx1[i]
             base = i * m_aux
             aux_locs = aux_flat[base:base + m_aux]
-            if singleton is not None:
-                aux_locs[0] = singleton
+            if rec[1] == 0:
+                aux_locs[0] = rec[0]
+                active.remove(rec)
 
             total = 0.0
             cumulative = []
             edge_append = cumulative.append
-            if von_mises:
-                for sid in active:
-                    total += counts[sid] * exp(kap * cos(xi - locs[sid]) - kap)
+            if circular:
+                for c in active:
+                    total += c[1] * exp(kap * cos(xi - c[0]) - kap)
                     edge_append(total)
                 for u in aux_locs:
                     total += aux_w * exp(kap * cos(xi - u) - kap)
                     edge_append(total)
             else:
-                for sid in active:
-                    d = xi - locs[sid]
-                    total += counts[sid] * exp(-d * d * inv2s2)
+                for c in active:
+                    d = xi - c[0]
+                    total += c[1] * exp(-d * d * inv2s2)
                     edge_append(total)
                 for u in aux_locs:
                     d = xi - u
@@ -219,54 +214,45 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
                        len(cumulative) - 1)
             n_active = len(active)
             if pick < n_active:
-                sid = active[pick]
+                rec = active[pick]
+                rec[1] += 1
+                rec[2] += sx0[i]
+                rec[3] += sx1[i]
             else:
-                u_new = aux_locs[pick - n_active]
-                sid = free.pop() if free else len(locs)
-                if sid == len(locs):
-                    locs.append(u_new)
-                    counts.append(0)
-                    cs0.append(0.0)
-                    cs1.append(0.0)
-                else:
-                    locs[sid] = u_new
-                active.append(sid)
-            counts[sid] += 1
-            cs0[sid] += sx0[i]
-            cs1[sid] += sx1[i]
-            assign[i] = sid
+                rec = [aux_locs[pick - n_active], 1, sx0[i], sx1[i], 0]
+                active.append(rec)
+            assign[i] = rec
 
         # random-walk refresh of every occupied cluster location
         k_active = len(active)
         z = gen.normal(0.0, _LOCATION_STEP, k_active).tolist()
         accept_u = gen.random(k_active).tolist()
-        for j in range(k_active):
-            sid = active[j]
-            u = locs[sid]
-            up = u + z[j]
+        proposals += k_active
+        for rec, step, v in zip(active, z, accept_u):
+            u = rec[0]
+            up = u + step
             if circular:
                 up = up % TWO_PI
             elif up < win_a or up > win_b:
-                proposals += 1
                 continue
-            delta = refresh_delta(u, up, cs0[sid], cs1[sid], counts[sid])
-            proposals += 1
-            if delta >= 0.0 or accept_u[j] < exp(delta):
-                locs[sid] = up
+            delta = refresh_delta(u, up, rec[2], rec[3], rec[1])
+            if delta >= 0.0 or v < exp(delta):
+                rec[0] = up
                 accepts += 1
 
         if sweep == next_keep:
             next_keep += config.thin
-            rank = {sid: r for r, sid in enumerate(active)}
-            kept_assign.append([rank[a] for a in assign])
-            kept_locs += [locs[sid] for sid in active]
-            kept_counts += [counts[sid] for sid in active]
+            for r, rec in enumerate(active):
+                rec[4] = r
+                kept_locs.append(rec[0])
+                kept_counts.append(rec[1])
+            kept_assign.append([rec[4] for rec in assign])
             count_trace.append(k_active)
 
-    rate = accepts / proposals if proposals else 1.0
     return McmcResult(np.array(kept_assign, dtype=np.int64),
                       np.array(kept_locs), np.array(kept_counts, dtype=np.int64),
-                      np.array(count_trace, dtype=np.int64), rate)
+                      np.array(count_trace, dtype=np.int64),
+                      accepts / proposals)
 
 
 def base_predictive(prior: PriorSpec, kernel: KernelSpec,
@@ -287,28 +273,25 @@ def base_predictive(prior: PriorSpec, kernel: KernelSpec,
 
 
 def posterior_lambda_bar(draws: McmcResult, prior: PriorSpec,
-                         kernel: KernelSpec, grid: Optional[np.ndarray] = None,
-                         base_pred: Optional[np.ndarray] = None) -> GridDensity:
+                         kernel: KernelSpec,
+                         grid: Optional[np.ndarray] = None) -> GridDensity:
     """Posterior-mean normalized intensity on a grid.
 
     Each draw contributes (base-measure predictive + sum_c n_c k(y, u_c))
-    normalized by |alpha| + N; the result averages the draws.  A zero-draw
-    table gives the prior predictive (the N = 0 posterior).  On the circle
-    the cluster term comes from the kernel's Fourier series, whose error the
-    positive base term keeps small relative to the result.
+    normalized by |alpha| + N; the result averages the draws.  The prior
+    state, one draw with no clusters, gives the prior predictive (the N = 0
+    posterior).  On the circle the cluster term comes from the kernel's
+    Fourier series, whose error the positive base term keeps small relative
+    to the result.
     """
     window = prior.window
     if grid is None:
         grid = window.grid(1024)
-    if base_pred is None:
-        base_pred = base_predictive(prior, kernel, grid)
-    theta = prior.total_mass_alpha
-    if len(draws) == 0:
-        return GridDensity(window, grid, base_pred / theta)
     n_obs = draws.assignments.shape[1]
     mixture = mixture_series if kernel.kind == "von_mises" else mixture_density
     values = mixture(kernel, draws.locations, draws.counts, grid)
-    values = (values / len(draws) + base_pred) / (theta + n_obs)
+    values = ((values / len(draws) + base_predictive(prior, kernel, grid))
+              / (prior.total_mass_alpha + n_obs))
     return GridDensity(window, grid, values)
 
 

@@ -109,7 +109,7 @@ def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
     """Log joint density of the future locations given their count.
 
     ``draws`` is the table of posterior clusterings of the observed pattern
-    (a zero-draw table encodes the prior state for an empty pattern).  Each
+    (for an empty pattern, the prior state: one draw with no clusters).  Each
     future point is scored by its one-step predictive density and then
     assigned to a cluster by sampling, so later points see the augmented
     state.  Returns 0.0 for an empty future (the empty product).
@@ -119,9 +119,8 @@ def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     gen = as_generator(rng)
-    # location and count of slot k of draw i at [:, k, i]; the prior state
-    # is one draw with no clusters
-    sizes = draws.cluster_count_trace if len(draws) else np.zeros(1, np.intp)
+    # location and count of slot k of draw i at [:, k, i]
+    sizes = draws.cluster_count_trace
     filled = np.arange(max(int(sizes.max()), 1))[:, None] < sizes
     per_draw = np.zeros((2,) + filled.shape)
     per_draw.transpose(0, 2, 1)[:, filled.T] = (draws.locations, draws.counts)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import IntensityModel, ModelError, PriorSpec, write_csv
 from .kernels import KernelSpec
-from .posterior import (McmcConfig, base_predictive, posterior_lambda_bar,
+from .posterior import (McmcConfig, posterior_lambda_bar,
                         posterior_weight_mean, run_mcmc)
 from .predict import (nb_log_pmf, predictive_count_params,
                       predictive_point_logdensity)
@@ -248,13 +248,12 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
     window = true_model.window
     nodes, weights = window.quad_nodes(grid_size)
     true_vals = true_model(nodes)
-    base_pred = base_predictive(prior, kernel, nodes)
     losses = np.empty((len(gammas), replications))
     for rep in range(replications):
         gen = replication_stream(rng, rep).generator()
         pattern = sample_nhpp(true_model, s, gen)
         draws = run_mcmc(pattern, prior, kernel, config, gen)
-        lam_bar = posterior_lambda_bar(draws, prior, kernel, nodes, base_pred)
+        lam_bar = posterior_lambda_bar(draws, prior, kernel, nodes)
         for gi, gamma in enumerate(gammas):
             w_hat = posterior_weight_mean(prior.with_gamma(gamma),
                                           pattern.count, s)

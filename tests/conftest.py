@@ -33,17 +33,17 @@ def draw_table(per_draw):
     """A chain's draw table holding the given (locations, counts) draws.
 
     Each draw assigns the observations to its clusters in order, so every
-    draw's counts must sum to the same N.  No draws give the zero-draw table
-    of an empty pattern.
+    draw's counts must sum to the same N.  ``[([], [])]``, one draw with no
+    clusters, is the prior state of an empty pattern.
     """
     per_draw = [(np.asarray(locs, dtype=float), np.asarray(c, dtype=np.int64))
                 for locs, c in per_draw]
-    n_obs = int(per_draw[0][1].sum()) if per_draw else 0
+    n_obs = int(per_draw[0][1].sum())
     assignments = [np.repeat(np.arange(c.size), c) for _, c in per_draw]
     return McmcResult(
         np.array(assignments, dtype=np.int64).reshape(len(per_draw), n_obs),
-        np.concatenate([np.zeros(0)] + [locs for locs, _ in per_draw]),
-        np.concatenate([np.zeros(0, np.int64)] + [c for _, c in per_draw]),
+        np.concatenate([locs for locs, _ in per_draw]),
+        np.concatenate([c for _, c in per_draw]),
         np.array([c.size for _, c in per_draw], dtype=np.int64), 1.0)
 
 

@@ -107,12 +107,12 @@ class TestSimulate:
                 ("estimate", ["--pattern", str(pattern)],
                  ["--gamma", "0.5", "--shrink", "--burn-in", "20",
                   "--samples", "10"], "csv",
-                 {"kappa": 5.0, "kernel": "von_mises", "thin": 5,
+                 {"kappa": 5.0, "window": "circle", "thin": 5,
                   "json": None, "gamma": [0.5]}),
                 ("estimate", ["--pattern", str(pattern)],
-                 ["--kernel", "gaussian", "--window", "0,7", "--sigma", "0.5",
+                 ["--window", "0,7", "--sigma", "0.5",
                   "--burn-in", "20", "--samples", "10"], "csv",
-                 {"kernel": "gaussian", "sigma": 0.5, "kappa": 5.0}),
+                 {"window": "0,7", "sigma": 0.5, "kappa": 5.0}),
                 ("risk", [], ["--study", str(predictive_study(tmp_path))],
                  "out", {"kind": "predictive", "s": 2.0, "t": 3.0,
                          "replications": 2})]
@@ -262,9 +262,9 @@ class TestPredict:
         for name, y in (("a.csv", 3312.34), ("b.csv", 3000.0)):
             (tmp_path / name).write_text(f"location\n{y}\n")
             futures += ["--future", str(tmp_path / name)]
-        code, out, _ = run(["predict", "--window", "0,10000", "--kernel",
-                            "gaussian", "--sigma", "0.1", "--pattern", str(pat),
-                            *futures, *SHORT_CHAIN], capsys)
+        code, out, _ = run(["predict", "--window", "0,10000", "--sigma", "0.1",
+                            "--pattern", str(pat), *futures, *SHORT_CHAIN],
+                           capsys)
         assert code == 0
         exact = predict.nb_log_pmf(10002.0, 0.5, 1) - math.log(10002.0)
         assert f"{exact:.6f}" == "-6933.551247"
@@ -319,8 +319,8 @@ class TestRisk:
     def test_unread_option_exits_2(self, tmp_path, capsys, no_chain):
         # an option the run does not read is an error whether a flag or the
         # study file sets it; one at its built-in default is not.  risk
-        # reads its kind's options, estimate and predict sigma only under
-        # the Gaussian kernel and kappa only under von Mises
+        # reads its kind's options, estimate and predict sigma only on an
+        # interval (the Gaussian kernel) and kappa only on the circle
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"kind": "predictive", "tau": 2.0,
                                      "abs_alpha": 2.0 * math.pi}))
@@ -339,8 +339,7 @@ class TestRisk:
                               "--future", str(pattern), "--sigma", "2"],
                              "sigma"),
                             (["estimate", "--pattern", str(pattern),
-                              "--kernel", "gaussian", "--window", "0,7",
-                              "--kappa", "3"], "kappa")]:
+                              "--window", "0,7", "--kappa", "3"], "kappa")]:
             code, _, err = run(argv, capsys)
             assert code == 2
             assert err.strip().endswith(f"does not read {named}")
@@ -464,11 +463,9 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "theorem4", "--replications", "5"],
     ["risk", "--check", "domination", "--kappa", "3"],
     ["risk", "--check", "lemma3", "--tau", "2"],
-    ["estimate", "--kernel", "gaussian", "--sigma", "inf", "--window", "0,7"],
-    ["estimate", "--kernel", "gaussian", "--sigma", "1e-320", "--window",
-     "0,7"],
-    ["predict", "--kernel", "gaussian", "--sigma", "1e308", "--window", "0,7",
-     *SHORT_CHAIN],
+    ["estimate", "--sigma", "inf", "--window", "0,7"],
+    ["estimate", "--sigma", "1e-320", "--window", "0,7"],
+    ["predict", "--sigma", "1e308", "--window", "0,7", *SHORT_CHAIN],
     ["estimate", "--kappa", "1e12"],
     ["predict", "--kappa", "1e308", *SHORT_CHAIN],
     ["estimate", "--s", "1e-320"],
@@ -482,9 +479,8 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["predict", "--aug-replicates", "0", *SHORT_CHAIN],
     ["predict", "--s", "inf", *SHORT_CHAIN],
     ["predict", "--t", "inf", *SHORT_CHAIN],
-    ["predict", "--kernel", "gaussian", "--window=-1e308,1e308",
-     *SHORT_CHAIN],
-    ["estimate", "--kernel", "gaussian", "--window=-1e308,1e308"],
+    ["predict", "--window=-1e308,1e308", *SHORT_CHAIN],
+    ["estimate", "--window=-1e308,1e308"],
 ], ids=" ".join)
 def test_bad_input_exits_2(argv, tmp_path, capsys, no_chain):
     # a configuration error, never a traceback or a silently wrong result,
@@ -514,6 +510,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys, no_chain):
     ({"gamma": 1.0}, "'gamma'"),
     ({"shrink": "yes"}, "'shrink'"),
     ({"burn_in": [10]}, "'burn_in'"),
+    ({"kernel": "gaussian"}, "'kernel'"),  # retired: the window picks it
 ], ids=str)
 def test_bad_config_exits_2(config, named, tmp_path, capsys, no_chain):
     # a usage error from argparse, before the echo and before any chain
@@ -546,7 +543,7 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
 
 
 # One option at a time, each of these values goes to every option of every
-# subcommand, risk kind and kernel; a typed option gets the numbers and a
+# subcommand, risk kind and window kind; a typed option gets the numbers and a
 # non-number, any other option (a path, window or intensity) gets them all.
 NUMBERS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e308"]
 TEXTS = ["abc", "1,", "const:", "no/such/file"]
@@ -578,16 +575,18 @@ def fuzz_runs():
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     for command, parser in commands.choices.items():
         options = {a.dest: a for a in parser._actions if a.dest != "help"}
-        modes = [(dest, choice) for dest in ("kind", "kernel")
-                 if dest in options for choice in options[dest].choices]
-        for mode, choice in modes or [(None, None)]:
+        if "kind" in options:
+            modes = [("kind", choice) for choice in options["kind"].choices]
+        elif "sigma" in options:  # the window picks the kernel
+            modes = [("window", "circle"), ("window", "0,7")]
+        else:
+            modes = [(None, None)]
+        for mode, choice in modes:
             reads = RISK_OPTIONS[choice] if mode == "kind" else CHEAP
             base = {k: v for k, v in CHEAP.items()
                     if k in options and k in reads}
             if mode:
                 base[mode] = choice
-            if choice == "gaussian":
-                base["window"] = "0,7"
             for dest, action in options.items():
                 for value in hostile(action):
                     argv = [options[k].option_strings[0]

@@ -171,6 +171,17 @@ class TestEvalKernel:
         spec = KernelSpec.gaussian(sigma, Window.interval(0.0, 7.0))
         assert math.isfinite(spec.log_norm)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1.0, 1e150])
+    def test_gaussian_far_tail_is_zero_without_warning(self, sigma):
+        # d / sigma, or its square, overflows far out; the kernel is 0
+        # there, and already 0 where d is clamped, at 1e3 sigma
+        spec = KernelSpec.gaussian(sigma, Window.interval(0.0, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eval_kernel(spec, 0.0, np.array(
+                [1e3 * sigma, 1e155 * sigma, 1e308, -1e308]))
+        np.testing.assert_array_equal(values, 0.0)
+
     @pytest.mark.parametrize("kappa", [1.3e8, 1e12, 1e15, 1e308])
     def test_kappa_past_the_series_cap_fails_fast(self, kappa):
         # rejected from kappa alone: the recurrence took 10 s at 1e12 and
@@ -277,8 +288,10 @@ class TestMixture:
             mixture_intensity(vm5, [1.0], [0.0])
 
     def test_empty_mixture_rejected(self, vm5):
+        # a density over no atoms is the empty sum; an intensity needs mass
+        assert mixture_density(vm5, [], [], 1.0) == 0.0
         with pytest.raises(ModelError):
-            mixture_density(vm5, [], [], 1.0)
+            mixture_intensity(vm5, [], [])
 
     @pytest.mark.parametrize("kappa, atoms, points", [
         (0.0, 200, 99), (0.5, 200, 99), (5.0, 200, 99), (50.0, 200, 99),

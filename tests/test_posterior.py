@@ -7,6 +7,7 @@ from conftest import batch_se, draw_table
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        RngStream, Window, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
+from nhppbayes import posterior
 from nhppbayes.kernels import KernelSpec, eval_kernel, mixture_density
 from nhppbayes.posterior import base_predictive
 
@@ -45,18 +46,19 @@ class TestRunMcmc:
 
     def test_empty_pattern_returns_prior_state(self, circle, vm5,
                                                uniform_prior):
-        # the empty-pattern posterior is the prior: no draws, and the
-        # generator is untouched so replication streams stay aligned
+        # the empty-pattern posterior is the prior: one draw with no
+        # clusters, and the generator is untouched so replication streams
+        # stay aligned
         gen = RngStream(0).generator()
         res = run_mcmc(PointPattern.empty(circle), uniform_prior, vm5,
                        McmcConfig(), gen)
-        assert len(res) == 0
-        assert res.assignments.shape == (0, 0)
+        assert len(res) == 1
+        assert res.assignments.shape == (1, 0)
         assert res.locations.size == res.counts.size == 0
         assert isinstance(res.acceptance_rate, float)
         assert res.diagnostics == {"acceptance_rate": None,
                                    "mean_clusters": 0.0,
-                                   "cluster_count_trace": [], "draws": 0}
+                                   "cluster_count_trace": [0], "draws": 1}
         np.testing.assert_array_equal(gen.random(4),
                                       RngStream(0).generator().random(4))
 
@@ -176,7 +178,8 @@ class TestBasePredictive:
 
 class TestPosteriorLambdaBar:
     def test_prior_predictive_is_uniform(self, circle, vm5, uniform_prior):
-        density = posterior_lambda_bar(draw_table([]), uniform_prior, vm5)
+        density = posterior_lambda_bar(draw_table([([], [])]), uniform_prior,
+                                       vm5)
         np.testing.assert_allclose(density.values, 1.0 / TWO_PI, rtol=1e-12)
 
     def test_integrates_to_one(self, circle, vm5, uniform_prior):
@@ -228,23 +231,25 @@ class TestLambdaBarSeries:
     @pytest.mark.parametrize("atoms", ["spread", "one_location"])
     @pytest.mark.parametrize("grid_size", [64, 512, 1024])
     def test_matches_direct_sum(self, circle, uniform_prior, kappa, base,
-                                atoms, grid_size):
-        # the base term comes from the prior, or, for "cosine", is the
-        # caller's base_pred 1 + cos(y)/2, which leaves the series less
-        # positive headroom where it dips to 1/2
+                                atoms, grid_size, monkeypatch):
+        # the base term comes from the prior, or, for "cosine", is
+        # patched to 1 + cos(y)/2, which leaves the series less positive
+        # headroom where it dips to 1/2
         kernel = KernelSpec.von_mises(kappa, circle)
         prior = uniform_prior
         grid = circle.grid(grid_size)
-        base_pred = (base_predictive(prior, kernel, grid) if base == "uniform"
-                     else 1.0 + 0.5 * np.cos(grid))
+        base_pred = base_predictive(prior, kernel, grid)
+        if base == "cosine":
+            base_pred = 1.0 + 0.5 * np.cos(grid)
+            monkeypatch.setattr(posterior, "base_predictive",
+                                lambda prior, kernel, grid: base_pred)
         rng = np.random.default_rng(17)
         if atoms == "spread":
             locs = [rng.uniform(0.0, TWO_PI, k) for k in (1, 7, 30)]
         else:
             locs = [np.full(k, 2.5) for k in (1, 7, 30)]
         draws = fixed_draws(locs, 30)
-        series = posterior_lambda_bar(draws, prior, kernel, grid,
-                                      base_pred).values
+        series = posterior_lambda_bar(draws, prior, kernel, grid).values
         mixture = mixture_density(kernel, np.concatenate(locs), draws.counts,
                                   grid)
         direct = ((mixture / len(draws) + base_pred)

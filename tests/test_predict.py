@@ -36,7 +36,6 @@ def _loop_point_logdensity(draws, prior, kernel, ys, pattern, gen, aug):
     trace = draws.cluster_count_trace
     states = [([*draws.locations[end - k:end]], [*draws.counts[end - k:end]])
               for k, end in zip(trace, np.cumsum(trace)) for _ in range(aug)]
-    states = states or [([], []) for _ in range(aug)]
     base = base_predictive(prior, kernel, np.asarray(ys))
     denom = prior.total_mass_alpha + pattern.count
     log_prod = np.zeros(len(states))
@@ -140,7 +139,7 @@ class TestPredictiveCountParams:
 class TestPointLayer:
     def test_empty_future_is_zero(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.5])
-        prior_state = draw_table([])
+        prior_state = draw_table([([], [])])
         assert predictive_point_logdensity(prior_state, uniform_prior, vm5, [],
                                            PointPattern.empty(circle),
                                            RngStream(0)) == 0.0
@@ -236,8 +235,9 @@ class TestPointLayer:
         exact = (theta ** 2 * singles + theta * pairs
                  + 2.0 * block(0, 1, 2)) / ((theta + 1.0) * (theta + 2.0))
         values = np.array([math.exp(predictive_point_logdensity(
-            draw_table([]), uniform_prior, vm5, ys, PointPattern.empty(circle),
-            RngStream(77, i), aug_replicates=8)) for i in range(6000)])
+            draw_table([([], [])]), uniform_prior, vm5, ys,
+            PointPattern.empty(circle), RngStream(77, i), aug_replicates=8))
+            for i in range(6000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
 
