@@ -17,6 +17,11 @@ once.  An empty pattern needs no chain: its posterior shape is the prior, so
 ``run_mcmc`` returns one draw with no clusters, which every consumer reads
 as it reads any draw; the estimate is then the prior predictive.
 
+The chain draws its randomness in blocks whose shape depends on N and the
+config alone, never on the chain's path (see ``run_mcmc``), so the
+generator's state after a chain is a function of its stream, N and the
+config.
+
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
 differ only by their closed-form weight factor.
@@ -41,6 +46,9 @@ from .simulate import RngLike, as_generator
 # Algorithm 8 auxiliary components) and the random-walk refresh's scale.
 _AUX_COMPONENTS = 3
 _LOCATION_STEP = 0.2
+# target doubles per block of sweeps' draws (uniforms plus steps); a block
+# holds at least one sweep
+_BLOCK_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,18 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     partition and uniform base draws for the cluster locations.  The
     empty-pattern posterior equals the prior: that case returns one draw
     with no clusters and takes nothing from the generator.
+
+    Draw contract: the sweeps run in blocks of
+    ``rows = max(1, _BLOCK_DRAWS // (N (3 + m)))`` (m = ``_AUX_COMPONENTS``),
+    the last block cut to the sweeps left.  Each block makes two generator
+    calls, ``random`` for (rows, N (2 + m)) uniforms and ``standard_normal``
+    for (rows, N) normals scaled by ``_LOCATION_STEP``, which take the same
+    draws as ``normal(0, _LOCATION_STEP, (rows, N))``.  Row j of each feeds one
+    sweep: N reassignment uniforms, N m auxiliary locations (scaled to the
+    window) and N acceptance uniforms, and N random-walk steps; the refresh
+    of the K <= N clusters reads the first K uniforms and steps.  So the
+    generator's state after the chain depends on its stream, N and the
+    config, not on the chain's path.
     """
     n_obs = pattern.count
     if n_obs == 0:
@@ -144,14 +164,8 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     cos, sin, exp = math.cos, math.sin, math.exp
     if circular:
         kap = kernel.kappa
-
-        def refresh_delta(u, up, s0, s1, n):
-            return kap * (s0 * (cos(up) - cos(u)) + s1 * (sin(up) - sin(u)))
     else:
         inv2s2 = 0.5 / (kernel.sigma * kernel.sigma)
-
-        def refresh_delta(u, up, s0, s1, n):
-            return inv2s2 * (2.0 * s0 * (up - u) - n * (up * up - u * u))
 
     # state: one record [location, members, stat sum 0, stat sum 1, rank] per
     # occupied cluster, in ``active`` order; observation i sits in assign[i].
@@ -173,81 +187,108 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     total_sweeps = config.burn_in + config.samples * config.thin
     next_keep = config.burn_in + config.thin - 1
 
-    for sweep in range(total_sweeps):
-        cat_u = gen.random(n_obs).tolist()
-        aux_flat = gen.uniform(win_a, win_b, n_obs * m_aux).tolist()
+    # the draws come in blocks whose shape depends on N alone (see the
+    # docstring).  In a row of ``uniforms``, columns [0, N) pick a cluster,
+    # [N, N (1 + m)) become the auxiliary locations and [N (1 + m),
+    # N (2 + m)) accept a refresh.  Both buffers are made once and refilled
+    # in place, so a chain allocates no array per block, and a row becomes a
+    # list only for its own sweep.
+    aux_end = n_obs * (1 + m_aux)
+    rows = max(1, _BLOCK_DRAWS // (n_obs * (3 + m_aux)))
+    uniforms = np.empty((rows, n_obs * (2 + m_aux)))
+    normals = np.empty((rows, n_obs))
+    for first in range(0, total_sweeps, rows):
+        n_rows = min(rows, total_sweeps - first)
+        block = gen.random(out=uniforms[:n_rows])
+        steps = gen.standard_normal(out=normals[:n_rows])
+        steps *= _LOCATION_STEP
+        aux = block[:, n_obs:aux_end]
+        aux *= win_b - win_a
+        aux += win_a
+        for sweep, row, z in zip(range(first, first + n_rows), block, steps):
+            row = row.tolist()
+            z = z.tolist()
+            for i in range(n_obs):
+                xi = xs[i]
+                rec = assign[i]
+                rec[1] -= 1
+                rec[2] -= sx0[i]
+                rec[3] -= sx1[i]
+                base = n_obs + i * m_aux
+                aux_locs = row[base:base + m_aux]
+                if rec[1] == 0:
+                    aux_locs[0] = rec[0]
+                    active.remove(rec)
 
-        for i in range(n_obs):
-            xi = xs[i]
-            rec = assign[i]
-            rec[1] -= 1
-            rec[2] -= sx0[i]
-            rec[3] -= sx1[i]
-            base = i * m_aux
-            aux_locs = aux_flat[base:base + m_aux]
-            if rec[1] == 0:
-                aux_locs[0] = rec[0]
-                active.remove(rec)
+                total = 0.0
+                cumulative = []
+                edge_append = cumulative.append
+                if circular:
+                    for c in active:
+                        total += c[1] * exp(kap * cos(xi - c[0]) - kap)
+                        edge_append(total)
+                    for u in aux_locs:
+                        total += aux_w * exp(kap * cos(xi - u) - kap)
+                        edge_append(total)
+                else:
+                    for c in active:
+                        d = xi - c[0]
+                        total += c[1] * exp(-d * d * inv2s2)
+                        edge_append(total)
+                    for u in aux_locs:
+                        d = xi - u
+                        total += aux_w * exp(-d * d * inv2s2)
+                        edge_append(total)
 
-            total = 0.0
-            cumulative = []
-            edge_append = cumulative.append
+                # the first edge above the draw; rounding can leave none,
+                # and then the last auxiliary candidate is taken
+                pick = bisect_right(cumulative, row[i] * total)
+                n_active = len(active)
+                if pick < n_active:
+                    rec = active[pick]
+                    rec[1] += 1
+                    rec[2] += sx0[i]
+                    rec[3] += sx1[i]
+                else:
+                    rec = [aux_locs[min(pick - n_active, m_aux - 1)], 1,
+                           sx0[i], sx1[i], 0]
+                    active.append(rec)
+                assign[i] = rec
+
+            # random-walk refresh of every occupied cluster location; zip
+            # stops at the K records, reading the first K steps and uniforms
+            accept_u = row[aux_end:]
+            k_active = len(active)
+            proposals += k_active
             if circular:
-                for c in active:
-                    total += c[1] * exp(kap * cos(xi - c[0]) - kap)
-                    edge_append(total)
-                for u in aux_locs:
-                    total += aux_w * exp(kap * cos(xi - u) - kap)
-                    edge_append(total)
+                for rec, step, v in zip(active, z, accept_u):
+                    u = rec[0]
+                    up = (u + step) % TWO_PI
+                    delta = kap * (rec[2] * (cos(up) - cos(u))
+                                   + rec[3] * (sin(up) - sin(u)))
+                    if delta >= 0.0 or v < exp(delta):
+                        rec[0] = up
+                        accepts += 1
             else:
-                for c in active:
-                    d = xi - c[0]
-                    total += c[1] * exp(-d * d * inv2s2)
-                    edge_append(total)
-                for u in aux_locs:
-                    d = xi - u
-                    total += aux_w * exp(-d * d * inv2s2)
-                    edge_append(total)
+                for rec, step, v in zip(active, z, accept_u):
+                    u = rec[0]
+                    up = u + step
+                    if up < win_a or up > win_b:
+                        continue
+                    delta = inv2s2 * (2.0 * rec[2] * (up - u)
+                                      - rec[1] * (up * up - u * u))
+                    if delta >= 0.0 or v < exp(delta):
+                        rec[0] = up
+                        accepts += 1
 
-            # the first edge above the draw (the last if rounding leaves none)
-            pick = min(bisect_right(cumulative, cat_u[i] * total),
-                       len(cumulative) - 1)
-            n_active = len(active)
-            if pick < n_active:
-                rec = active[pick]
-                rec[1] += 1
-                rec[2] += sx0[i]
-                rec[3] += sx1[i]
-            else:
-                rec = [aux_locs[pick - n_active], 1, sx0[i], sx1[i], 0]
-                active.append(rec)
-            assign[i] = rec
-
-        # random-walk refresh of every occupied cluster location
-        k_active = len(active)
-        z = gen.normal(0.0, _LOCATION_STEP, k_active).tolist()
-        accept_u = gen.random(k_active).tolist()
-        proposals += k_active
-        for rec, step, v in zip(active, z, accept_u):
-            u = rec[0]
-            up = u + step
-            if circular:
-                up = up % TWO_PI
-            elif up < win_a or up > win_b:
-                continue
-            delta = refresh_delta(u, up, rec[2], rec[3], rec[1])
-            if delta >= 0.0 or v < exp(delta):
-                rec[0] = up
-                accepts += 1
-
-        if sweep == next_keep:
-            next_keep += config.thin
-            for r, rec in enumerate(active):
-                rec[4] = r
-                kept_locs.append(rec[0])
-                kept_counts.append(rec[1])
-            kept_assign.append([rec[4] for rec in assign])
-            count_trace.append(k_active)
+            if sweep == next_keep:
+                next_keep += config.thin
+                for r, rec in enumerate(active):
+                    rec[4] = r
+                    kept_locs.append(rec[0])
+                    kept_counts.append(rec[1])
+                kept_assign.append([rec[4] for rec in assign])
+                count_trace.append(k_active)
 
     return McmcResult(np.array(kept_assign, dtype=np.int64),
                       np.array(kept_locs), np.array(kept_counts, dtype=np.int64),

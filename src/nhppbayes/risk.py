@@ -38,7 +38,8 @@ POISSON_TAIL = 1e-12
 # the identity checks' finer tail, and the finite-difference step in tau
 _IDENTITY_TAIL = 1e-14
 _TAU_STEP = 1e-4
-# most terms a Poisson series may take: theta = 1e6 needs about 1.2e6
+# most terms a Poisson series may take: its window grows as sqrt(theta),
+# about 15,000 terms at theta = 1e6
 _POISSON_TERMS = 2_000_000
 
 
@@ -72,29 +73,65 @@ def kl_intensity(true_model: IntensityModel, est_model: IntensityModel,
 # Poisson series utilities
 # ---------------------------------------------------------------------------
 
-def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
-    """Support and pmf of Poisson(theta), truncated where the Chernoff
-    upper-tail bound exp(-theta) (e theta / n)^n drops below ``tail``.
+def _chernoff_reach(theta: float, log_tail: float, sign: int) -> int:
+    """Fewest steps j >= 1 from floor(theta), up (sign 1) or down (sign -1),
+    at which n = floor(theta) + sign j has Chernoff tail bound
+    exp(-theta) (e theta / n)^n at most exp(log_tail), or n <= 0.
 
-    A truncation point past ``_POISSON_TERMS`` raises ``ModelError`` before
-    anything is allocated.
+    The search doubles j and then bisects, so it takes O(log j) steps.  It
+    stops doubling past ``_POISSON_TERMS``, where theta + j may round back
+    to theta, and then returns a reach past the cap, which the caller
+    rejects.
+    """
+    k0 = math.floor(theta)
+    frac = theta - k0
+
+    def outside(j):
+        n = k0 + sign * j
+        d = sign * j - frac  # n - theta
+        return n <= 0 or d - n * math.log1p(d / theta) <= log_tail
+
+    j = 1
+    while j <= _POISSON_TERMS and not outside(j):
+        j *= 2
+    lo, hi = j // 2, j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
+    """Support and pmf of Poisson(theta) on the window [lo, hi] outside
+    which each tail's Chernoff bound exp(-theta) (e theta / n)^n is below
+    ``tail``.
+
+    The pmf runs by the ratio recurrence outward from floor(theta), where
+    p(k + 1) / p(k) = theta / (k + 1), and is divided by its sum.  No
+    term's exponent is formed, so at any theta a term's relative error is
+    the omitted mass, at most 2 ``tail``, plus rounding (about 1e-13 at
+    theta = 1e6).  A window longer than ``_POISSON_TERMS`` raises
+    ``ModelError`` before any array is built.
     """
     if not 0 <= theta < math.inf:
         raise ModelError(f"Poisson mean must be finite and nonnegative, "
                          f"got {theta}")
     if theta == 0.0:
         return np.zeros(1, dtype=np.int64), np.ones(1)
-    n = int(theta) + 1
-    while n <= _POISSON_TERMS and (-theta + n + n * math.log(theta / n)
-                                   > math.log(tail)):
-        n = int(n * 1.2) + 5
-    if n > _POISSON_TERMS:
+    log_tail = math.log(tail)
+    k0 = math.floor(theta)
+    hi = k0 + _chernoff_reach(theta, log_tail, 1)
+    lo = max(0, k0 - _chernoff_reach(theta, log_tail, -1))
+    if hi - lo + 1 > _POISSON_TERMS:
         raise ModelError(f"Poisson mean {theta:g} needs more than "
                          f"{_POISSON_TERMS} series terms")
-    ns = np.arange(n + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    pmf = np.exp(ns * math.log(theta) - theta - log_fact)
-    return ns, pmf
+    up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=float))
+    down = np.cumprod(np.arange(k0, lo, -1, dtype=float) / theta)
+    pmf = np.concatenate((down[::-1], [1.0], up))
+    return np.arange(lo, hi + 1), pmf / pmf.sum()
 
 
 def weight_risk_difference_exact(abs_alpha: float, gamma: float,
@@ -108,10 +145,16 @@ def weight_risk_difference_exact(abs_alpha: float, gamma: float,
         (gamma_tilde - gamma)/tau
           - w E[log(N + |alpha| - gamma)] + w E[log(N + |alpha| - gamma_tilde)]
 
-    with N ~ Poisson(tau w), evaluated by truncated series.  Positive values
-    mean the gamma_tilde prior wins at this (w, tau).  A value that
-    overflows, as (gamma_tilde - gamma)/tau does at a subnormal tau, raises
-    ``ModelError``.
+    with N ~ Poisson(tau w), evaluated by truncated series.  The Poisson
+    identity tau w E[g(N)] = E[N g(N - 1)] rewrites it as
+
+        E[d - N log(1 + d / (N - 1 + |alpha| - gamma_tilde))] / tau,
+
+    d = gamma_tilde - gamma, so two expectations of size w log(tau w) no
+    longer cancel to a value of size 1/w: only O(1) terms do, and the value
+    keeps about 1e-16 tau w of relative error.  Positive values mean the
+    gamma_tilde prior wins at this (w, tau).  A value that overflows, as it
+    does at a subnormal tau, raises ``ModelError``.
     """
     if not (-math.inf < gamma < abs_alpha
             and -math.inf < gamma_tilde < abs_alpha):
@@ -120,9 +163,11 @@ def weight_risk_difference_exact(abs_alpha: float, gamma: float,
     if not (w > 0 and tau > 0):
         raise ModelError("w and tau must be positive")
     ns, pmf = poisson_pmf_series(tau * w)
-    e_log = float(np.dot(pmf, np.log(ns + abs_alpha - gamma)))
-    e_log_tilde = float(np.dot(pmf, np.log(ns + abs_alpha - gamma_tilde)))
-    value = (gamma_tilde - gamma) / tau - w * e_log + w * e_log_tilde
+    d = gamma_tilde - gamma
+    # N - 1 + |alpha| - gamma_tilde > 0 for N >= 1; the N = 0 term's log is
+    # multiplied by 0, so any positive base serves there
+    base = np.maximum(ns - 1, 0) + (abs_alpha - gamma_tilde)
+    value = float(np.dot(pmf, d - ns * np.log1p(d / base))) / tau
     if not math.isfinite(value):
         raise ModelError(f"the weight-risk difference at w={w:g}, tau={tau:g} "
                          f"is not finite: {value}")

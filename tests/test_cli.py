@@ -471,7 +471,7 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["estimate", "--s", "1e-320"],
     ["estimate", "--gamma=-inf"],
     ["risk", "--check", "theorem4", "--tau", "1e308"],
-    ["risk", "--check", "domination", "--w-grid", "1e9"],
+    ["risk", "--check", "domination", "--w-grid", "1e11"],
     ["risk", "--check", "theorem4", "--gamma=-inf"],
     ["risk", "--check", "estimation", "--t", "inf"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],

@@ -38,15 +38,15 @@ COMMANDS = {
     "figure1": (
         ["figure1", "--seed", "1", "--burn-in", "200", "--samples", "200",
          "--thin", "1", "--out-dir", "fig"], {},
-        "bef587852112fcba660082fc445eb073fb9f233ba0a8ceba5f21dc2bd9814fd1"),
+        "2f497cb59f7c8023ec421dacc16a956a11444b015cecfbe557bd8cdd86bfd1fb"),
     "estimate": (
         ["estimate", "--pattern", "x.csv", "--shrink", "--seed", "2", *CHAIN,
          "--csv", "est.csv", "--json", "est.json"], {"x.csv": PATTERN},
-        "9a89da0eeb892899d1b5405989b6ab0c086dea92e9fea182cf924f92c296023e"),
+        "3ee1d62040d9621f2a3fd6921e7589721e75962ddfb4e45a334bd8a1a0bca719"),
     "predict": (
         ["predict", "--pattern", "x.csv", "--future", "y.csv", "--seed", "2",
          *CHAIN, "--out", "scores.csv"], {"x.csv": PATTERN, "y.csv": FUTURE},
-        "65d7bfa95b8c74b0bab6e7d2d299251bfa11711ff236c5c4021729104aa768d8"),
+        "27b38efe8778372fc9037558fa7245aa9116ae95dfe9e151a21e8b7530ffefd8"),
     "estimate-empty": (
         ["estimate", "--pattern", "x.csv", "--shrink", "--seed", "2", *CHAIN,
          "--csv", "est.csv", "--json", "est.json"], {"x.csv": EMPTY},
@@ -59,28 +59,28 @@ COMMANDS = {
         ["estimate", "--window", "0,4", "--sigma", "0.5", "--pattern", "x.csv",
          "--shrink", "--seed", "3", *CHAIN, "--csv", "est.csv", "--json",
          "est.json"], {"x.csv": INTERVAL_PATTERN},
-        "eda7136ab6e11423bae32408c2b648a3f9881253354a5bb25ba80cc495c7d4b7"),
+        "be2aab6f78edcb3bfb2344298a874daf0bf0328c741ebcd80710931eb148dae9"),
     "predict-gaussian": (
         ["predict", "--window", "0,4", "--sigma", "0.5", "--pattern", "x.csv",
          "--future", "y.csv", "--seed", "3", *CHAIN, "--out", "scores.csv"],
         {"x.csv": INTERVAL_PATTERN, "y.csv": INTERVAL_FUTURE},
-        "210fb953237286b4f761c74c85ee821e8be045e6db4d6972880703f1d6a44322"),
+        "9d778a58a416c9279b90c91c089ef5d4d12255091f4ce5506e88c4e2fbef3527"),
     "estimate-repeated": (
         ["estimate", "--kappa", "20", "--pattern", "x.csv", "--seed", "4",
          *CHAIN, "--csv", "est.csv", "--json", "est.json"],
         {"x.csv": REPEATED},
-        "99fe1534a35491cf68e79f709e800991190b57e60d2cec2019d76d1f9e21751e"),
+        "8b88f929ac55f64db9250eaff91b93ef2d473aff5e05c8ac3aa578c9c4b4086b"),
     "theorem3": (
         ["risk", "--check", "theorem3", "--seed", "5", "--replications", "2",
          "--burn-in", "20", "--samples", "20"], {},
-        "d0984b8509d202474e1b372edd08effdda309b8dcb3a20d43736278bcd86e4ef"),
+        "e04b7c27418a35019126c50c576297c738ea833dbe2b62726d91d5467733305a"),
     "theorem4": (
         ["risk", "--check", "theorem4", "--seed", "0"], {},
         "d6d66cf31c180a53e24ba872b13d28f96aa684ce47f9f8f4c96b7634983006a1"),
     "predictive": (
         ["risk", "--check", "predictive", "--seed", "6", "--replications",
          "3", "--out", "report.csv"], {},
-        "5477003621807d472166aa2368bd764facb0e4a28aef76f81e1a7e6458d2e65d"),
+        "ad29e6bf88261f320387a52584e303ed1c2bd8b86aadc0ded55da71e60d31bf3"),
 }
 
 

@@ -62,6 +62,43 @@ class TestRunMcmc:
         np.testing.assert_array_equal(gen.random(4),
                                       RngStream(0).generator().random(4))
 
+    @pytest.mark.parametrize("n_obs, burn_in, samples, thin, kind", [
+        (5, 100, 100, 2, "von_mises"),  # 300 sweeps: blocks of 136, 136, 28
+        (5, 7, 5, 3, "gaussian"),       # 22 sweeps: one cut block
+        (700, 1, 2, 1, "von_mises"),    # one sweep per block
+    ])
+    def test_draws_depend_on_n_alone(self, n_obs, burn_in, samples, thin,
+                                     kind):
+        # the chain takes its draws in blocks whose shape depends on N and
+        # the config alone, never on the path: two patterns with the same N
+        # leave equal streams in one state, the state that replaying the
+        # blocks' generator calls reaches
+        if kind == "gaussian":
+            window = Window.interval(0.0, 4.0)
+            kernel = KernelSpec.gaussian(0.5, window)
+        else:
+            window = Window.circle()
+            kernel = KernelSpec.von_mises(5.0, window)
+        prior = PriorSpec.uniform_unit(window)
+        cfg = McmcConfig(burn_in=burn_in, samples=samples, thin=thin)
+        spread = np.linspace(window.a, window.b, n_obs, endpoint=False)
+        clumped = window.a + 0.01 * np.arange(n_obs) / n_obs
+        after = []
+        for xs in (spread, clumped):
+            gen = RngStream(12).generator()
+            run_mcmc(PointPattern(window, xs), prior, kernel, cfg, gen)
+            after.append(gen.random(4))
+        replay = RngStream(12).generator()
+        m = posterior._AUX_COMPONENTS
+        rows = max(1, posterior._BLOCK_DRAWS // (n_obs * (3 + m)))
+        sweeps = burn_in + samples * thin
+        for first in range(0, sweeps, rows):
+            n_rows = min(rows, sweeps - first)
+            replay.random((n_rows, n_obs * (2 + m)))
+            replay.normal(0.0, posterior._LOCATION_STEP, (n_rows, n_obs))
+        np.testing.assert_array_equal(after[0], after[1])
+        np.testing.assert_array_equal(after[0], replay.random(4))
+
     def test_large_kappa_chain_finishes(self, circle, uniform_prior):
         # kappa = 800 overflows an unscaled exp(kappa cos d)
         sharp = KernelSpec.von_mises(800.0, circle)

@@ -273,7 +273,7 @@ class TestPointLayer:
         assert fast_gen.random() == slow_gen.random()
 
     def test_peak_memory_at_dense_size(self, sine2, vm5, uniform_prior):
-        # the predictive_dense shape: 800 rows, K_max = 22, M = 52; the slots
+        # the predictive_dense shape: 800 rows, K_max = 24, M = 52; the slots
         # grow as clusters open rather than padding every row to K_max + M
         gen = RngStream(5, 0).generator()
         observed = sample_nhpp(sine2, 4.0, gen)
@@ -281,7 +281,7 @@ class TestPointLayer:
         draws = run_mcmc(observed, uniform_prior, vm5,
                          McmcConfig(burn_in=100, samples=100, thin=1), gen)
         assert (observed.count, future.count) == (56, 52)
-        assert draws.cluster_count_trace.max() == 22
+        assert draws.cluster_count_trace.max() == 24
         assert peak_traced_mb(predictive_point_logdensity, draws,
                               uniform_prior, vm5, future.points, observed,
                               gen, 8) < 1.6

@@ -90,18 +90,51 @@ class TestPoissonSeries:
         ns, _ = poisson_pmf_series(50.0, tail=1e-12)
         assert float(stats.poisson.sf(ns[-1], 50.0)) < 1e-12
 
-    @pytest.mark.parametrize("theta", [1.7e6, 1e9, 1e308])
+    @pytest.mark.parametrize("theta", [1e11, 1e308])
     def test_past_the_term_cap_fails_fast(self, theta):
-        # rejected before any array is built: 1e9 would take 1.2e9 terms
+        # rejected before any array is built: 1e11's window would take about
+        # 4.7e6 terms, and at 1e308 floor(theta) + j rounds back to theta
         start = time.perf_counter()
         with pytest.raises(ModelError, match="series terms"):
             poisson_pmf_series(theta)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("theta", [1.7e6, 1e9])
+    def test_window_fits_under_the_cap(self, theta):
+        # the window grows as sqrt(theta): about 19,000 and 470,000 terms
+        start = time.perf_counter()
+        ns, pmf = poisson_pmf_series(theta)
+        assert time.perf_counter() - start < 1.0
+        assert ns.size == pmf.size < 500_000
+        assert float(stats.poisson.cdf(ns[0] - 1, theta)) < 1e-12
+        assert float(stats.poisson.sf(ns[-1], theta)) < 1e-12
+        assert abs(pmf.sum() - 1.0) < 1e-14
+
     def test_accepts_a_million(self):
-        ns, pmf = poisson_pmf_series(1e6)
-        assert ns[-1] == 1_200_006
-        assert abs(pmf.sum() - 1.0) < 1e-9
+        # each edge is the innermost n whose Chernoff bound is below the
+        # tail, and every term matches a 40-digit oracle to within the
+        # omitted mass (at most twice the tail), far below the 1e-9 that
+        # exp(n log theta - theta - lgamma(n + 1)) loses at this size
+        mpmath = pytest.importorskip("mpmath")
+        theta, tail = 1e6, 1e-12
+        ns, pmf = poisson_pmf_series(theta, tail)
+
+        def log_bound(n):
+            return n - theta - n * math.log(n / theta)
+
+        lo, hi = int(ns[0]), int(ns[-1])
+        assert log_bound(lo) <= math.log(tail) < log_bound(lo + 1)
+        assert log_bound(hi) <= math.log(tail) < log_bound(hi - 1)
+        assert ns.size == hi - lo + 1 < 16_000
+        assert abs(pmf.sum() - 1.0) < 1e-14
+        picks = np.linspace(0, ns.size - 1, 60).astype(int)
+        with mpmath.workdps(40):
+            exact = [mpmath.exp(int(n) * mpmath.log(theta) - theta
+                                - mpmath.loggamma(int(n) + 1))
+                     for n in ns[picks]]
+            worst = max(abs(mpmath.mpf(float(p)) / e - 1)
+                        for p, e in zip(pmf[picks], exact))
+        assert worst < 2 * tail
 
 
 class TestWeightRiskDifference:
@@ -114,6 +147,16 @@ class TestWeightRiskDifference:
         val = weight_risk_difference_exact(abs_alpha, 0.0, abs_alpha - 1.0,
                                            1e-12, tau)
         assert val == pytest.approx((abs_alpha - 1.0) / tau, rel=1e-9)
+
+    @pytest.mark.parametrize("w", [1e6, 1e8, 1e9])
+    def test_large_weight_keeps_its_digits(self, w):
+        # at gamma = 0 and gamma_tilde = |alpha| - 1, w times the difference
+        # tends to (|alpha| - 1)^2 / 2; subtracting two expectations of size
+        # w log w loses that by w = 1e6
+        abs_alpha = TWO_PI
+        val = weight_risk_difference_exact(abs_alpha, 0.0, abs_alpha - 1.0,
+                                           w, 1.0)
+        assert w * val == pytest.approx((abs_alpha - 1.0) ** 2 / 2, rel=1e-5)
 
     def test_against_monte_carlo(self):
         abs_alpha, w, tau = TWO_PI, 4.0 * math.pi, 1.0
