@@ -239,13 +239,13 @@ class IntensityModel:
     """Evaluable intensity with total mass w and normalized shape lambda-bar.
 
     Either a closed-form function of location or a kernel mixture over
-    weighted atoms (built by ``kernels.mixture_intensity``).  The intensity
+    weighted atoms (built by ``kernels.mixture_intensity``): the model that
+    has ``atom_locations`` is a mixture.  The intensity
     must be strictly positive wherever it is evaluated for divergence
     computations; zero values are an error there, never clamped.
     """
 
     window: Window
-    kind: str
     total_mass: float
     evaluator: Callable = field(repr=False)
     kernel: object = None
@@ -253,8 +253,6 @@ class IntensityModel:
     atom_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("closed_form", "kernel_mixture"):
-            raise ModelError(f"unknown intensity kind {self.kind!r}")
         if not 0 < self.total_mass < math.inf:
             raise ModelError(f"total mass must be finite and positive, "
                              f"got {self.total_mass}")
@@ -268,13 +266,13 @@ class IntensityModel:
             if residual > MASS_RTOL:
                 raise ModelError(
                     f"intensity mass quadrature did not settle (residual {residual:.2e})")
-        return cls(window, "closed_form", float(total_mass), fn)
+        return cls(window, float(total_mass), fn)
 
     @classmethod
     def constant(cls, window: Window, value: float) -> "IntensityModel":
         if not value > 0:
             raise ModelError("constant intensity must be positive")
-        return cls(window, "closed_form", value * window.length,
+        return cls(window, value * window.length,
                    lambda u, _v=value: np.full_like(np.asarray(u, dtype=float), _v))
 
     def __call__(self, u):

@@ -40,10 +40,13 @@ over 10^7 random (y, u) pairs the largest gaps were 6.7e-16, 3.8e-15,
 The Gaussian kernel is a density on all of R; on a bounded interval window
 it is used without truncation renormalization, so a small amount of mass can
 leak outside the window when atoms sit near the boundary.  Model validation
-flags leakage beyond the integration tolerance, the simulator drops the points
-that land outside, and the base-measure term of the posterior
-(``posterior.base_predictive``) integrates the kernel over the window only, in
-closed form.
+flags leakage beyond the integration tolerance, ``sample_kernel_points``
+drops the mixture points that land outside, and ``window_mass``, the base
+term of the posterior, integrates the kernel over the window only.
+
+A ``KernelSpec``'s window decides its kernel.  Outside this module only the
+chain's inlined sweep and the posterior shape's series-or-direct-sum choice
+branch on the kernel.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -109,21 +112,19 @@ def _bessel_ratios(kappa: float) -> tuple:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A named kernel with its fixed parameter and domain.
-
-    The von Mises kernel requires a circle window; the Gaussian kernel
-    requires an interval window (it is a density on R, see module notes).
+    """A kernel with its fixed parameter and domain; the window decides the
+    kernel: von Mises (``kappa``) on the circle, Gaussian (``sigma``) on an
+    interval (a density on R, see module notes).
     """
 
-    kind: str
     kappa: Optional[float] = None
     sigma: Optional[float] = None
     window: Window = Window.circle()
 
     def __post_init__(self):
-        if self.kind == "von_mises":
-            if not self.window.is_circle:
-                raise ModelError("von Mises kernel requires a circle window")
+        if self.window.is_circle:
+            if self.sigma is not None:
+                raise ModelError("Gaussian kernel requires an interval window")
             if self.kappa is None or not 0 <= self.kappa < math.inf:
                 raise ModelError("von Mises kernel needs finite kappa >= 0")
             if self.kappa == 0:  # -0.0 as +0.0, which gen.vonmises accepts
@@ -137,9 +138,9 @@ class KernelSpec:
             object.__setattr__(self, "_log_norm",
                                self.kappa + math.log(TWO_PI * i0e))
             object.__setattr__(self, "_rho", rho)
-        elif self.kind == "gaussian":
-            if self.window.is_circle:
-                raise ModelError("Gaussian kernel requires an interval window")
+        else:
+            if self.kappa is not None:
+                raise ModelError("von Mises kernel requires a circle window")
             if self.sigma is None or not 0 < self.sigma < math.inf:
                 raise ModelError("Gaussian kernel needs finite sigma > 0")
             # the chain divides by sigma^2, and the kernel peaks at
@@ -150,16 +151,14 @@ class KernelSpec:
                 raise ModelError(f"Gaussian sigma {self.sigma:g} is too small "
                                  f"or too large to evaluate")
             object.__setattr__(self, "_log_norm", math.log(_SQRT_TWO_PI * self.sigma))
-        else:
-            raise ModelError(f"unknown kernel kind {self.kind!r}")
 
     @classmethod
     def von_mises(cls, kappa: float, window: Optional[Window] = None) -> "KernelSpec":
-        return cls("von_mises", kappa=float(kappa), window=window or Window.circle())
+        return cls(kappa=float(kappa), window=window or Window.circle())
 
     @classmethod
     def gaussian(cls, sigma: float, window: Window) -> "KernelSpec":
-        return cls("gaussian", sigma=float(sigma), window=window)
+        return cls(sigma=float(sigma), window=window)
 
     @property
     def log_norm(self) -> float:
@@ -171,7 +170,7 @@ def eval_kernel(spec: KernelSpec, y, u):
     """Kernel density k(y, u); symmetric in its arguments, broadcasting."""
     # in place: on the posterior-mean grids temporaries cost more than math
     out = np.asarray(np.subtract(y, u, dtype=float))
-    if spec.kind == "von_mises":
+    if spec.window.is_circle:
         np.cos(out, out=out)
         out *= spec.kappa
     else:
@@ -187,18 +186,42 @@ def eval_kernel(spec: KernelSpec, y, u):
     return out if out.ndim else out[()]
 
 
+def window_mass(spec: KernelSpec, y: np.ndarray) -> np.ndarray:
+    """integral of k(y, u) alpha(du) at the points y, in closed form.
+
+    On the circle the von Mises kernel integrates to one, so this is 1.  On
+    an interval [a, b] it is the Gaussian mass inside the window,
+    Phi((b - y) / sigma) - Phi((a - y) / sigma), taken through ``math.erf``.
+    """
+    window = spec.window
+    if window.is_circle:
+        return np.ones(y.size)
+    scale = spec.sigma * math.sqrt(2.0)
+    return np.array([0.5 * (math.erf((window.b - v) / scale)
+                            - math.erf((window.a - v) / scale))
+                     for v in y.tolist()])
+
+
+def check_window(spec: KernelSpec, window: Window, what: str) -> None:
+    """``ModelError``, naming both, unless ``window`` is the kernel's."""
+    if window != spec.window:
+        on = [f"{w.kind} [{w.a:g}, {w.b:g}]" for w in (window, spec.window)]
+        raise ModelError(f"the {what} lives on the {on[0]} but the kernel "
+                         f"on the {on[1]}")
+
+
 def kernel_table(spec: KernelSpec, u) -> np.ndarray:
     """The fields ``eval_table`` reads for locations u, stacked on a new
     first axis: kappa cos u and kappa sin u, or u itself for the Gaussian."""
     u = np.asarray(u, dtype=float)
-    if spec.kind == "von_mises":
+    if spec.window.is_circle:
         return np.stack([np.cos(u), np.sin(u)]) * spec.kappa
     return u[None]
 
 
 def eval_table(spec: KernelSpec, y: float, table) -> np.ndarray:
     """k(y, u) from the ``kernel_table`` of u (see the module notes)."""
-    if spec.kind != "von_mises":
+    if not spec.window.is_circle:
         return eval_kernel(spec, y, table[0])
     out = table[0] * math.cos(y)
     out += table[1] * math.sin(y)
@@ -267,7 +290,7 @@ def mixture_intensity(spec: KernelSpec, locations, weights) -> IntensityModel:
     locs.flags.writeable = False
     wts.flags.writeable = False
     return IntensityModel(
-        spec.window, "kernel_mixture", float(np.sum(wts)),
+        spec.window, float(np.sum(wts)),
         lambda y, _s=spec, _l=locs, _w=wts: mixture_density(_s, _l, _w, y),
         kernel=spec, atom_locations=locs, atom_weights=wts)
 
@@ -283,7 +306,7 @@ def mixture_intensity(spec: KernelSpec, locations, weights) -> IntensityModel:
 # ---------------------------------------------------------------------------
 
 def member_stats(spec: KernelSpec, x: float):
-    if spec.kind == "von_mises":
+    if spec.window.is_circle:
         return math.cos(x), math.sin(x)
     return x, x * x
 
@@ -298,7 +321,7 @@ def sample_kernel_posterior(spec: KernelSpec, x: float, gen,
     uniform per draw.
     """
     window = spec.window
-    if spec.kind == "von_mises":
+    if spec.window.is_circle:
         return np.mod(gen.vonmises(x, spec.kappa, size), TWO_PI)
     # imported here, the only scipy use in the package: importing
     # scipy.special costs about 0.3 s and 18 MB, which every command and
@@ -307,3 +330,12 @@ def sample_kernel_posterior(spec: KernelSpec, x: float, gen,
     lo, hi = ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
     u = x + spec.sigma * ndtri(lo + gen.random(size) * (hi - lo))
     return np.clip(u, window.a, window.b)
+
+
+def sample_kernel_points(spec: KernelSpec, centers, gen) -> np.ndarray:
+    """One draw from k(., u) per center u, keeping those in the window: the
+    mixture process restricted to the window (see the module notes)."""
+    if spec.window.is_circle:
+        return np.mod(gen.vonmises(centers, spec.kappa), TWO_PI)
+    pts = gen.normal(centers, spec.sigma)
+    return pts[(pts >= spec.window.a) & (pts <= spec.window.b)]

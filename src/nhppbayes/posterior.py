@@ -24,7 +24,8 @@ config.
 
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
-differ only by their closed-form weight factor.
+differ only by their closed-form weight factor.  So the shape layer takes
+no prior: |alpha| is the length of the kernel's window.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
-from .kernels import KernelSpec, member_stats, mixture_density, mixture_series
+from .kernels import (KernelSpec, check_window, member_stats, mixture_density,
+                      mixture_series, window_mass)
 from .simulate import RngLike, as_generator
 
 
@@ -120,7 +122,7 @@ def posterior_weight_mean(prior: PriorSpec, n: int, s: float) -> float:
     return mean
 
 
-def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
+def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
              config: McmcConfig = McmcConfig(), rng: RngLike = None) -> McmcResult:
     """Sample the latent clustering of the observations.
 
@@ -142,6 +144,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
     generator's state after the chain depends on its stream, N and the
     config, not on the chain's path.
     """
+    check_window(kernel, pattern.window, "pattern")
     n_obs = pattern.count
     if n_obs == 0:
         return McmcResult(np.zeros((1, 0), dtype=np.int64), np.zeros(0),
@@ -151,10 +154,10 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
         raise ModelError("run_mcmc needs an RngStream or Generator")
     gen = as_generator(rng)
     xs = [float(v) for v in pattern.points]
-    theta = prior.total_mass_alpha
+    window = kernel.window
+    theta = window.length
     m_aux = _AUX_COMPONENTS
     aux_w = theta / m_aux
-    window = prior.window
     circular = window.is_circle
     win_a, win_b = window.a, window.b
 
@@ -296,25 +299,7 @@ def run_mcmc(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
                       accepts / proposals)
 
 
-def base_predictive(prior: PriorSpec, kernel: KernelSpec,
-                    grid: np.ndarray) -> np.ndarray:
-    """integral of k(y, u) alpha(du) at the points of ``grid``, in closed form.
-
-    On the circle the von Mises kernel integrates to one, so this is 1.  On
-    an interval [a, b] it is the Gaussian mass inside the window,
-    Phi((b - y) / sigma) - Phi((a - y) / sigma), taken through ``math.erf``.
-    """
-    window = prior.window
-    if window.is_circle:
-        return np.ones(grid.size)
-    scale = kernel.sigma * math.sqrt(2.0)
-    return np.array([0.5 * (math.erf((window.b - y) / scale)
-                            - math.erf((window.a - y) / scale))
-                     for y in grid.tolist()])
-
-
-def posterior_lambda_bar(draws: McmcResult, prior: PriorSpec,
-                         kernel: KernelSpec,
+def posterior_lambda_bar(draws: McmcResult, kernel: KernelSpec,
                          grid: Optional[np.ndarray] = None) -> GridDensity:
     """Posterior-mean normalized intensity on a grid.
 
@@ -325,14 +310,14 @@ def posterior_lambda_bar(draws: McmcResult, prior: PriorSpec,
     Fourier series, whose error the positive base term keeps small relative
     to the result.
     """
-    window = prior.window
+    window = kernel.window
     if grid is None:
         grid = window.grid(1024)
     n_obs = draws.assignments.shape[1]
-    mixture = mixture_series if kernel.kind == "von_mises" else mixture_density
+    mixture = mixture_series if window.is_circle else mixture_density
     values = mixture(kernel, draws.locations, draws.counts, grid)
-    values = ((values / len(draws) + base_predictive(prior, kernel, grid))
-              / (prior.total_mass_alpha + n_obs))
+    values = ((values / len(draws) + window_mass(kernel, grid))
+              / (window.length + n_obs))
     return GridDensity(window, grid, values)
 
 
@@ -371,12 +356,13 @@ def estimate_intensity_multi(pattern: PointPattern, prior: PriorSpec,
     gamma are exactly proportional, differing only in the closed-form weight
     factor.
     """
+    check_window(kernel, prior.window, "prior")
     grid = prior.window.grid(grid_size)
     # the weight means check s and gamma, so bad input fails before the chain
     w_means = [posterior_weight_mean(prior.with_gamma(gamma), pattern.count, s)
                for gamma in gammas]
-    result = run_mcmc(pattern, prior, kernel, config, rng)
-    lam_bar = posterior_lambda_bar(result, prior, kernel, grid)
+    result = run_mcmc(pattern, kernel, config, rng)
+    lam_bar = posterior_lambda_bar(result, kernel, grid)
     return [PosteriorSummary(gamma, w_mean, lam_bar, lam_bar.scaled(w_mean),
                              dict(result.diagnostics))
             for gamma, w_mean in zip(gammas, w_means)]

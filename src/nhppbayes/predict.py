@@ -21,7 +21,8 @@ rows per future point.  Its cells are slot-major, shape (slots, rows), with
 slots added as clusters open, and keep a count and the ``kernel_table`` of a
 location, so a future point makes no trig call.  The augmentation stream is
 drawn point by point, in the order it had before the trig tables: one
-uniform per row, then the new clusters' locations in one call.
+uniform per row, then the new clusters' locations in one call.  The layer
+takes no prior: |alpha| is the length of the kernel's window.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelError, PointPattern, PriorSpec
-from .kernels import (KernelSpec, eval_table, kernel_table,
-                      sample_kernel_posterior)
-from .posterior import McmcConfig, McmcResult, base_predictive, run_mcmc
+from .kernels import (KernelSpec, check_window, eval_table, kernel_table,
+                      sample_kernel_posterior, window_mass)
+from .posterior import McmcConfig, McmcResult, run_mcmc
 from .simulate import RngLike, as_generator
 
 _NB_TERMS = 10_000_000  # most terms nb_total_mass sums before it gives up
@@ -103,17 +104,16 @@ def predictive_count_params(prior: PriorSpec, n: int, s: float, t: float):
     return r, p
 
 
-def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
-                                kernel: KernelSpec, ys, pattern: PointPattern,
+def predictive_point_logdensity(draws: McmcResult, kernel: KernelSpec, ys,
                                 rng: RngLike, aug_replicates: int = 8) -> float:
     """Log joint density of the future locations given their count.
 
     ``draws`` is the table of posterior clusterings of the observed pattern
-    (for an empty pattern, the prior state: one draw with no clusters).  Each
-    future point is scored by its one-step predictive density and then
-    assigned to a cluster by sampling, so later points see the augmented
-    state.  Returns 0.0 for an empty future (the empty product).
-    ``aug_replicates`` below 1 raises ``ModelError``.
+    (for an empty pattern, the prior state: one draw with no clusters), and
+    N is its number of columns.  Each future point is scored by its one-step
+    predictive density and then assigned to a cluster by sampling, so later
+    points see the augmented state.  Returns 0.0 for an empty future (the
+    empty product).  ``aug_replicates`` below 1 raises ``ModelError``.
     """
     if aug_replicates < 1:
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
@@ -132,8 +132,8 @@ def predictive_point_logdensity(draws: McmcResult, prior: PriorSpec,
     rows = used.size
     every_row = np.arange(rows)
 
-    base = base_predictive(prior, kernel, ys)
-    denom = prior.total_mass_alpha + pattern.count
+    base = window_mass(kernel, ys)
+    denom = kernel.window.length + draws.assignments.shape[1]
     log_prod = np.zeros(rows)
     for j, y in enumerate(ys):
         width = max(int(used.max()), 1)
@@ -171,9 +171,7 @@ class PredictiveDensity:
 
     r: float
     p: float
-    prior: PriorSpec
     kernel: KernelSpec
-    pattern: PointPattern
     draws: McmcResult
     aug_replicates: int = 8
 
@@ -183,12 +181,10 @@ class PredictiveDensity:
         The negative binomial log pmf of its count plus the point layer's
         log density of its locations (drawn from ``rng``; 0.0 for no points).
         """
-        if future.window != self.pattern.window:
-            raise ModelError("future pattern must live on the same window")
+        check_window(self.kernel, future.window, "future pattern")
         score = nb_log_pmf(self.r, self.p, future.count)
         return score + predictive_point_logdensity(
-            self.draws, self.prior, self.kernel, future.points, self.pattern,
-            rng, self.aug_replicates)
+            self.draws, self.kernel, future.points, rng, self.aug_replicates)
 
 
 def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec,
@@ -198,7 +194,8 @@ def build_predictive(pattern: PointPattern, prior: PriorSpec, kernel: KernelSpec
     """Assemble the predictive density, running the chain on the pattern."""
     if aug_replicates < 1:
         raise ModelError(f"need aug_replicates >= 1, got {aug_replicates}")
+    check_window(kernel, prior.window, "prior")
     r, p = predictive_count_params(prior, pattern.count, s, t)
-    draws = run_mcmc(pattern, prior, kernel, config, rng)
-    return PredictiveDensity(r, p, prior, kernel, pattern, draws, aug_replicates)
+    draws = run_mcmc(pattern, kernel, config, rng)
+    return PredictiveDensity(r, p, kernel, draws, aug_replicates)
 

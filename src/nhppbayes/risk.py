@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import IntensityModel, ModelError, PriorSpec, write_csv
-from .kernels import KernelSpec
+from .kernels import KernelSpec, check_window
 from .posterior import (McmcConfig, posterior_lambda_bar,
                         posterior_weight_mean, run_mcmc)
 from .predict import (nb_log_pmf, predictive_count_params,
@@ -289,6 +289,8 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
         raise ModelError("need at least one replication")
     if not 0 < t < math.inf:
         raise ModelError(f"t must be finite and positive, got {t}")
+    check_window(kernel, true_model.window, "truth")
+    check_window(kernel, prior.window, "prior")
     gammas = list(gammas) if gammas is not None else [prior.gamma]
     window = true_model.window
     nodes, weights = window.quad_nodes(grid_size)
@@ -297,8 +299,8 @@ def estimation_risk_mc(true_model: IntensityModel, prior: PriorSpec,
     for rep in range(replications):
         gen = replication_stream(rng, rep).generator()
         pattern = sample_nhpp(true_model, s, gen)
-        draws = run_mcmc(pattern, prior, kernel, config, gen)
-        lam_bar = posterior_lambda_bar(draws, prior, kernel, nodes)
+        draws = run_mcmc(pattern, kernel, config, gen)
+        lam_bar = posterior_lambda_bar(draws, kernel, nodes)
         for gi, gamma in enumerate(gammas):
             w_hat = posterior_weight_mean(prior.with_gamma(gamma),
                                           pattern.count, s)
@@ -329,16 +331,18 @@ def predictive_risk_mc(true_model: IntensityModel, prior: PriorSpec,
     """
     if replications < 1:
         raise ModelError("need at least one replication")
+    check_window(kernel, true_model.window, "truth")
+    check_window(kernel, prior.window, "prior")
     losses = np.empty(replications)
     for rep in range(replications):
         gen = replication_stream(rng, rep).generator()
         observed = sample_nhpp(true_model, s, gen)
         future = sample_nhpp(true_model, t, gen)
-        draws = run_mcmc(observed, prior, kernel, config, gen)
+        draws = run_mcmc(observed, kernel, config, gen)
         log_true = log_pattern_density(true_model, future, t)
         r, p = predictive_count_params(prior, observed.count, s, t)
         score = nb_log_pmf(r, p, future.count) + predictive_point_logdensity(
-            draws, prior, kernel, future.points, observed, gen, aug_replicates)
+            draws, kernel, future.points, gen, aug_replicates)
         losses[rep] = log_true - score
     entry = _entry_from_losses(f"predictive:gamma={prior.gamma:g}", losses,
                                s=s, t=t)

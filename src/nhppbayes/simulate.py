@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (TWO_PI, IntensityModel, ModelError, PointPattern, PriorSpec,
-                   invert_cdf)
+from .core import IntensityModel, ModelError, PointPattern, PriorSpec, invert_cdf
+from .kernels import sample_kernel_points
 
 
 @dataclass(frozen=True)
@@ -54,28 +54,13 @@ def derive_seed(*tags) -> int:
     return int(a ^ (b << 1)) & (2**63 - 1)
 
 
-def _sample_mixture_points(model: IntensityModel, size: int,
-                           gen: np.random.Generator) -> np.ndarray:
-    spec = model.kernel
-    probs = model.atom_weights / model.total_mass
-    which = gen.choice(model.atom_locations.size, size=size, p=probs)
-    centers = model.atom_locations[which]
-    if spec.kind == "von_mises":
-        return np.mod(gen.vonmises(centers, spec.kappa), TWO_PI)
-    pts = gen.normal(centers, spec.sigma)
-    # Gaussian kernels leak outside interval windows; points that land
-    # outside are dropped, so the pattern is the mixture process restricted
-    # to the window.
-    window = model.window
-    return pts[(pts >= window.a) & (pts <= window.b)]
-
-
 def sample_nhpp(model: IntensityModel, exposure: float,
                 rng: RngLike) -> PointPattern:
     """Sample one realization with intensity exposure * lambda.
 
     The count is Poisson(exposure * w); given the count, locations are i.i.d.
-    draws from the normalized shape.  A Gaussian mixture on an interval
+    draws from the normalized shape: a mixture's by atom and then
+    ``kernels.sample_kernel_points``.  A Gaussian mixture on an interval
     drops the points that fall outside the window, so its count is Poisson
     in the mass inside the window.  Closed-form intensities are sampled by
     tabulated inverse-CDF.  A count mean beyond numpy's Poisson range
@@ -90,8 +75,11 @@ def sample_nhpp(model: IntensityModel, exposure: float,
         raise ModelError(f"cannot draw the count: {exc}") from None
     if n == 0:
         return PointPattern.empty(model.window)
-    if model.kind == "kernel_mixture":
-        pts = _sample_mixture_points(model, n, gen)
+    if model.atom_locations is not None:
+        which = gen.choice(model.atom_locations.size, size=n,
+                           p=model.atom_weights / model.total_mass)
+        pts = sample_kernel_points(model.kernel, model.atom_locations[which],
+                                   gen)
     else:
         pts = invert_cdf(model.shape_cdf_table(), gen.random(n))
     return PointPattern(model.window, pts)

@@ -167,8 +167,8 @@ def test_07_mcmc_small_sample_oracles():
     cfg1 = McmcConfig(burn_in=1000, samples=8000, thin=5)
     chains = np.stack([
         posterior_lambda_bar(
-            run_mcmc(pattern1, prior, kernel, cfg1, RngStream(1007, c)),
-            prior, kernel, grid).values
+            run_mcmc(pattern1, kernel, cfg1, RngStream(1007, c)),
+            kernel, grid).values
         for c in range(16)])
     grand = chains.mean(axis=0)
     se1 = chains.std(axis=0, ddof=1) / math.sqrt(chains.shape[0])
@@ -185,7 +185,7 @@ def test_07_mcmc_small_sample_oracles():
     cfg2 = McmcConfig(burn_in=500, samples=4000, thin=2)
     fractions = []
     for c in range(16):
-        assign = run_mcmc(pattern2, prior, kernel, cfg2,
+        assign = run_mcmc(pattern2, kernel, cfg2,
                           RngStream(1008, c)).assignments
         fractions.append(np.mean(assign[:, 0] == assign[:, 1]))
     fractions = np.asarray(fractions)
@@ -255,7 +255,6 @@ def test_09_simulator_bin_counts():
 def test_10_count_layer_and_point_layer():
     window = Window.circle()
     kernel = KernelSpec.von_mises(5.0, window)
-    prior = PriorSpec.uniform_unit(window)
     sums_ok = True
     details = []
     for r, p in ((11.0, 0.5), (TWO_PI, 0.5), (1.0, 0.9)):
@@ -274,11 +273,11 @@ def test_10_count_layer_and_point_layer():
     values = []
     shape_values = []
     for c in range(12):
-        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(1011, c))
+        draws = run_mcmc(pattern, kernel, cfg, RngStream(1011, c))
         point_val = math.exp(predictive_point_logdensity(
-            draws, prior, kernel, [y], pattern, RngStream(1012, c),
+            draws, kernel, [y], RngStream(1012, c),
             aug_replicates=2))
-        shape_val = float(posterior_lambda_bar(draws, prior, kernel,
+        shape_val = float(posterior_lambda_bar(draws, kernel,
                                                grid).values[100])
         if same_draw_gap is None:
             same_draw_gap = abs(point_val - shape_val) / shape_val

@@ -118,13 +118,13 @@ class TestValidate:
         assert report.mass_quadrature == pytest.approx(4.0 * math.pi, rel=1e-10)
 
     def test_flags_nonpositive_values(self, circle):
-        bad = IntensityModel(circle, "closed_form", 1.0, lambda u: np.sin(u))
+        bad = IntensityModel(circle, 1.0, lambda u: np.sin(u))
         report = validate(bad)
         assert not report.ok
         assert report.nonpositive_nodes > 0
 
     def test_flags_wrong_declared_mass(self, circle):
-        bad = IntensityModel(circle, "closed_form", 5.0,
+        bad = IntensityModel(circle, 5.0,
                              lambda u: np.full_like(u, 2.0))
         report = validate(bad)
         assert any("mass" in f for f in report.failures)

@@ -120,3 +120,31 @@ def test_every_default_is_passed():
                            for call in calls.get(name, [])):
                     unpassed.append(f"{path.stem}.{where}({param})")
     assert not unpassed, f"defaulted but passed by no call: {unpassed}"
+
+
+def test_only_kernels_knows_the_two_kernels():
+    # the window decides the kernel, and the kernels module evaluates,
+    # samples and integrates it; outside it no module names a kernel, reads
+    # a kind off a kernel or an intensity, or reads kappa or sigma, but for
+    # the CLI's parsed options and the sweep that run_mcmc inlines
+    found = []
+    for path in sorted((ROOT / "src" / "nhppbayes").glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()  # the nodes of Window, which owns its kind, and run_mcmc
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef) and node.name == "Window"
+                    or isinstance(node, ast.FunctionDef)
+                    and node.name == "run_mcmc"):
+                exempt.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant)
+                    and node.value in ("von_mises", "gaussian")):
+                found.append(f"{path.stem}:{node.lineno} {node.value!r}")
+            if not isinstance(node, ast.Attribute) or id(node) in exempt:
+                continue
+            on_args = getattr(node.value, "id", None) == "args"
+            if node.attr in ("kind", "kappa", "sigma") and not on_args:
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
+    assert not found, f"kernel knowledge outside kernels.py: {found}"

@@ -339,3 +339,79 @@ class TestMixture:
         ns = [n for n in exact if n <= kept]
         np.testing.assert_allclose(rho[np.array(ns, dtype=int) - 1],
                                    [exact[n] for n in ns], rtol=1e-14)
+
+
+
+def _mismatch(case):
+    """The call of each case, where a pattern, prior or truth on one window
+    meets a kernel on another, and the message it must raise."""
+    from nhppbayes import (IntensityModel, McmcConfig, PointPattern, PriorSpec,
+                           RngStream, build_predictive,
+                           estimate_intensity_multi, estimation_risk_mc,
+                           predictive_risk_mc, run_mcmc)
+    cfg = McmcConfig(burn_in=10, samples=10, thin=1)
+    box, wide = Window.interval(0.0, 4.0), Window.interval(0.0, 100.0)
+    on_box = PointPattern(box, [0.5, 1.0, 3.0])
+    circle_kernel = KernelSpec.von_mises(5.0)
+    box_kernel = KernelSpec.gaussian(0.5, box)
+    truth = IntensityModel.constant(box, 2.0)
+    calls = {
+        "run_mcmc": (
+            lambda: run_mcmc(on_box, circle_kernel, cfg, RngStream(1)),
+            r"pattern lives on the interval \[0, 4\] but the kernel on the "
+            r"circle \[0, 6.28319\]"),
+        # the parent drew locations on [0, 4] for a point at 5.0
+        "run_mcmc-circle-pattern": (
+            lambda: run_mcmc(PointPattern(Window.circle(), [1.0, 5.0]),
+                             box_kernel, cfg, RngStream(1)),
+            r"pattern lives on the circle \[0, 6.28319\] but the kernel on "
+            r"the interval \[0, 4\]"),
+        "build_predictive": (
+            lambda: build_predictive(on_box, PriorSpec.uniform_unit(box),
+                                     circle_kernel, 1.0, 1.0, cfg,
+                                     RngStream(1)),
+            r"prior lives on the interval \[0, 4\] but the kernel on the "
+            r"circle"),
+        # the parent's lambda-bar integrated to 0.988 here
+        "estimate_intensity_multi": (
+            lambda: estimate_intensity_multi(
+                on_box, PriorSpec.uniform_unit(wide), box_kernel, 1.0, [0.0],
+                cfg, RngStream(1)),
+            r"prior lives on the interval \[0, 100\] but the kernel on the "
+            r"interval \[0, 4\]"),
+        "estimation_risk_mc-truth": (
+            lambda: estimation_risk_mc(
+                IntensityModel.constant(Window.circle(), 1.0),
+                PriorSpec.uniform_unit(box), box_kernel, 1.0, 1, cfg,
+                RngStream(1)),
+            r"truth lives on the circle"),
+        "estimation_risk_mc-prior": (
+            lambda: estimation_risk_mc(
+                truth, PriorSpec.uniform_unit(wide), box_kernel, 1.0, 1, cfg,
+                RngStream(1)),
+            r"prior lives on the interval \[0, 100\]"),
+        "predictive_risk_mc-truth": (
+            lambda: predictive_risk_mc(
+                IntensityModel.constant(wide, 1.0), PriorSpec.uniform_unit(box),
+                box_kernel, 1.0, 1.0, 1, cfg, RngStream(1)),
+            r"truth lives on the interval \[0, 100\]"),
+        "predictive_risk_mc-prior": (
+            lambda: predictive_risk_mc(
+                truth, PriorSpec.uniform_unit(Window.circle()), box_kernel,
+                1.0, 1.0, 1, cfg, RngStream(1)),
+            r"prior lives on the circle"),
+    }
+    return calls[case]
+
+
+@pytest.mark.parametrize("case", [
+    "run_mcmc", "run_mcmc-circle-pattern", "build_predictive",
+    "estimate_intensity_multi", "estimation_risk_mc-truth",
+    "estimation_risk_mc-prior", "predictive_risk_mc-truth",
+    "predictive_risk_mc-prior"])
+def test_mismatched_windows_raise(case):
+    # a pattern, prior or truth on another window than the kernel fails
+    # with ModelError, which names both windows, before any chain runs
+    call, message = _mismatch(case)
+    with pytest.raises(ModelError, match=message):
+        call()

@@ -8,8 +8,8 @@ from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        RngStream, Window, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
 from nhppbayes import posterior
-from nhppbayes.kernels import KernelSpec, eval_kernel, mixture_density
-from nhppbayes.posterior import base_predictive
+from nhppbayes.kernels import (KernelSpec, eval_kernel, mixture_density,
+                               window_mass)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +37,8 @@ class TestRunMcmc:
     def test_determinism(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.3, 1.1, 1.2, 4.0])
         cfg = McmcConfig(burn_in=50, samples=40, thin=2)
-        a = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(5))
-        b = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(5))
+        a = run_mcmc(pattern, vm5, cfg, RngStream(5))
+        b = run_mcmc(pattern, vm5, cfg, RngStream(5))
         assert a.acceptance_rate == b.acceptance_rate
         for field in ("assignments", "locations", "counts",
                       "cluster_count_trace"):
@@ -50,7 +50,7 @@ class TestRunMcmc:
         # clusters, and the generator is untouched so replication streams
         # stay aligned
         gen = RngStream(0).generator()
-        res = run_mcmc(PointPattern.empty(circle), uniform_prior, vm5,
+        res = run_mcmc(PointPattern.empty(circle), vm5,
                        McmcConfig(), gen)
         assert len(res) == 1
         assert res.assignments.shape == (1, 0)
@@ -79,14 +79,13 @@ class TestRunMcmc:
         else:
             window = Window.circle()
             kernel = KernelSpec.von_mises(5.0, window)
-        prior = PriorSpec.uniform_unit(window)
         cfg = McmcConfig(burn_in=burn_in, samples=samples, thin=thin)
         spread = np.linspace(window.a, window.b, n_obs, endpoint=False)
         clumped = window.a + 0.01 * np.arange(n_obs) / n_obs
         after = []
         for xs in (spread, clumped):
             gen = RngStream(12).generator()
-            run_mcmc(PointPattern(window, xs), prior, kernel, cfg, gen)
+            run_mcmc(PointPattern(window, xs), kernel, cfg, gen)
             after.append(gen.random(4))
         replay = RngStream(12).generator()
         m = posterior._AUX_COMPONENTS
@@ -104,7 +103,7 @@ class TestRunMcmc:
         sharp = KernelSpec.von_mises(800.0, circle)
         pattern = PointPattern(circle, [0.3, 0.31, 2.0, 4.0, 4.02])
         cfg = McmcConfig(burn_in=50, samples=50, thin=1)
-        res = run_mcmc(pattern, uniform_prior, sharp, cfg, RngStream(7))
+        res = run_mcmc(pattern, sharp, cfg, RngStream(7))
         assert len(res) == 50
         starts = np.cumsum(res.cluster_count_trace) - res.cluster_count_trace
         np.testing.assert_array_equal(np.add.reduceat(res.counts, starts), 5)
@@ -119,13 +118,12 @@ class TestRunMcmc:
         if kind == "gaussian":
             window = Window.interval(0.0, 4.0)
             kernel = KernelSpec.gaussian(0.5, window)
-            prior = PriorSpec.uniform_unit(window)
             xs = [0.3, 1.1, 1.2, 3.0, 3.1]
         else:
-            window, kernel, prior = circle, vm5, uniform_prior
+            window, kernel = circle, vm5
             xs = [0.3, 1.1, 1.2, 4.0, 4.1]
         cfg = McmcConfig(burn_in=100, samples=50, thin=2)
-        res = run_mcmc(PointPattern(window, xs), prior, kernel, cfg,
+        res = run_mcmc(PointPattern(window, xs), kernel, cfg,
                        RngStream(6))
         trace = res.cluster_count_trace
         assert res.assignments.shape == (50, 5)
@@ -142,7 +140,7 @@ class TestRunMcmc:
         x1 = 1.3
         pattern = PointPattern(circle, [x1])
         cfg = McmcConfig(burn_in=500, samples=4000, thin=5)
-        res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(11))
+        res = run_mcmc(pattern, vm5, cfg, RngStream(11))
         locs = res.locations  # one cluster per draw
         z = np.exp(1j * locs)
         cos_trace = np.cos(locs - x1)
@@ -159,7 +157,7 @@ class TestRunMcmc:
         sharp = KernelSpec.von_mises(50.0, circle)
         pattern = PointPattern(circle, [2.0] * 6)
         cfg = McmcConfig(burn_in=300, samples=1000, thin=2)
-        res = run_mcmc(pattern, uniform_prior, sharp, cfg, RngStream(12))
+        res = run_mcmc(pattern, sharp, cfg, RngStream(12))
         from collections import Counter
         occupancy = Counter(res.cluster_count_trace.tolist())
         # ranking assertion: the single-cluster state is the modal partition
@@ -176,7 +174,7 @@ class TestRunMcmc:
         overlap = float(np.dot(wts, k1 * k2)) / TWO_PI
         p_together = overlap / (overlap + theta / TWO_PI ** 2)
         cfg = McmcConfig(burn_in=1000, samples=12000, thin=2)
-        res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(13))
+        res = run_mcmc(pattern, vm5, cfg, RngStream(13))
         indicator = (res.assignments[:, 0]
                      == res.assignments[:, 1]).astype(float)
         se = batch_se(indicator)
@@ -189,11 +187,10 @@ class TestBasePredictive:
         # on [0, 4] the base term is Phi((4 - y)/sigma) - Phi(-y/sigma)
         from scipy.stats import norm
         window = Window.interval(0.0, 4.0)
-        prior = PriorSpec.uniform_unit(window)
         kernel = KernelSpec.gaussian(1.0, window)
         ys = np.linspace(0.0, 4.0, 41)
         exact = norm.cdf(4.0 - ys) - norm.cdf(-ys)
-        values = base_predictive(prior, kernel, ys)
+        values = window_mass(kernel, ys)
         np.testing.assert_allclose(values, exact, rtol=1e-14)
         assert values[0] == pytest.approx(norm.cdf(4.0) - 0.5, rel=1e-14)
 
@@ -203,11 +200,10 @@ class TestBasePredictive:
         # sigma gave 4.87 at y = 0 and 0.0 at y = 3123.4
         from scipy.stats import norm
         window = Window.interval(0.0, 10000.0)
-        prior = PriorSpec.uniform_unit(window)
         kernel = KernelSpec.gaussian(0.1, window)
         ys = np.array([0.0, 3000.0, 3123.4, 5000.0, 9999.95, 10000.0])
         exact = norm.cdf((10000.0 - ys) / 0.1) - norm.cdf(-ys / 0.1)
-        values = base_predictive(prior, kernel, ys)
+        values = window_mass(kernel, ys)
         np.testing.assert_allclose(values, exact, rtol=1e-14)
         np.testing.assert_allclose(values[[0, 1, 2, 3, 5]],
                                    [0.5, 1.0, 1.0, 1.0, 0.5], rtol=1e-14)
@@ -215,15 +211,14 @@ class TestBasePredictive:
 
 class TestPosteriorLambdaBar:
     def test_prior_predictive_is_uniform(self, circle, vm5, uniform_prior):
-        density = posterior_lambda_bar(draw_table([([], [])]), uniform_prior,
-                                       vm5)
+        density = posterior_lambda_bar(draw_table([([], [])]), vm5)
         np.testing.assert_allclose(density.values, 1.0 / TWO_PI, rtol=1e-12)
 
     def test_integrates_to_one(self, circle, vm5, uniform_prior):
         pattern = PointPattern(circle, [0.3, 1.1, 4.0])
         cfg = McmcConfig(burn_in=200, samples=200, thin=2)
-        res = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(21))
-        density = posterior_lambda_bar(res, uniform_prior, vm5)
+        res = run_mcmc(pattern, vm5, cfg, RngStream(21))
+        density = posterior_lambda_bar(res, vm5)
         assert density.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_single_point_matches_quadrature_oracle(self, circle, vm5,
@@ -245,8 +240,8 @@ class TestPosteriorLambdaBar:
         cfg = McmcConfig(burn_in=1000, samples=8000, thin=5)
         chains = np.stack([
             posterior_lambda_bar(
-                run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(51, c)),
-                uniform_prior, vm5, grid).values
+                run_mcmc(pattern, vm5, cfg, RngStream(51, c)),
+                vm5, grid).values
             for c in range(16)])
         grand = chains.mean(axis=0)
         se = chains.std(axis=0, ddof=1) / math.sqrt(chains.shape[0])
@@ -275,18 +270,18 @@ class TestLambdaBarSeries:
         kernel = KernelSpec.von_mises(kappa, circle)
         prior = uniform_prior
         grid = circle.grid(grid_size)
-        base_pred = base_predictive(prior, kernel, grid)
+        base_pred = window_mass(kernel, grid)
         if base == "cosine":
             base_pred = 1.0 + 0.5 * np.cos(grid)
-            monkeypatch.setattr(posterior, "base_predictive",
-                                lambda prior, kernel, grid: base_pred)
+            monkeypatch.setattr(posterior, "window_mass",
+                                lambda kernel, grid: base_pred)
         rng = np.random.default_rng(17)
         if atoms == "spread":
             locs = [rng.uniform(0.0, TWO_PI, k) for k in (1, 7, 30)]
         else:
             locs = [np.full(k, 2.5) for k in (1, 7, 30)]
         draws = fixed_draws(locs, 30)
-        series = posterior_lambda_bar(draws, prior, kernel, grid).values
+        series = posterior_lambda_bar(draws, kernel, grid).values
         mixture = mixture_density(kernel, np.concatenate(locs), draws.counts,
                                   grid)
         direct = ((mixture / len(draws) + base_pred)

@@ -11,8 +11,8 @@ from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        nb_log_pmf, nb_total_mass, posterior_lambda_bar,
                        predictive_count_params, predictive_point_logdensity,
                        run_mcmc, sample_nhpp)
-from nhppbayes.kernels import eval_kernel, sample_kernel_posterior
-from nhppbayes.posterior import base_predictive
+from nhppbayes.kernels import (eval_kernel, sample_kernel_posterior,
+                               window_mass)
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +36,7 @@ def _loop_point_logdensity(draws, prior, kernel, ys, pattern, gen, aug):
     trace = draws.cluster_count_trace
     states = [([*draws.locations[end - k:end]], [*draws.counts[end - k:end]])
               for k, end in zip(trace, np.cumsum(trace)) for _ in range(aug)]
-    base = base_predictive(prior, kernel, np.asarray(ys))
+    base = window_mass(kernel, np.asarray(ys))
     denom = prior.total_mass_alpha + pattern.count
     log_prod = np.zeros(len(states))
     for j, y in enumerate(ys):
@@ -138,13 +138,11 @@ class TestPredictiveCountParams:
 
 class TestPointLayer:
     def test_empty_future_is_zero(self, circle, vm5, uniform_prior):
-        pattern = PointPattern(circle, [0.5])
         prior_state = draw_table([([], [])])
-        assert predictive_point_logdensity(prior_state, uniform_prior, vm5, [],
-                                           PointPattern.empty(circle),
+        assert predictive_point_logdensity(prior_state, vm5, [],
                                            RngStream(0)) == 0.0
-        assert predictive_point_logdensity(prior_state, uniform_prior, vm5, [],
-                                           pattern, RngStream(0)) == 0.0
+        assert predictive_point_logdensity(draw_table([([0.5], [1])]), vm5,
+                                           [], RngStream(0)) == 0.0
 
     def test_single_future_point_equals_shape_estimate(self, circle, vm5,
                                                        uniform_prior):
@@ -152,12 +150,11 @@ class TestPointLayer:
         # the estimate is the posterior-mean shape at that point exactly
         pattern = PointPattern(circle, [0.4, 1.2, 1.3])
         cfg = McmcConfig(burn_in=200, samples=300, thin=2)
-        draws = run_mcmc(pattern, uniform_prior, vm5, cfg, RngStream(61))
+        draws = run_mcmc(pattern, vm5, cfg, RngStream(61))
         grid = circle.grid(512)
-        density = posterior_lambda_bar(draws, uniform_prior, vm5, grid)
+        density = posterior_lambda_bar(draws, vm5, grid)
         y = float(grid[100])
-        log_val = predictive_point_logdensity(draws, uniform_prior, vm5, [y],
-                                              pattern, RngStream(62),
+        log_val = predictive_point_logdensity(draws, vm5, [y], RngStream(62),
                                               aug_replicates=2)
         assert math.exp(log_val) == pytest.approx(density.values[100],
                                                   rel=1e-10)
@@ -175,11 +172,10 @@ class TestPointLayer:
         cfg = McmcConfig(burn_in=500, samples=6000, thin=5)
         values = []
         for chain in range(12):
-            draws = run_mcmc(pattern, uniform_prior, vm5, cfg,
+            draws = run_mcmc(pattern, vm5, cfg,
                              RngStream(63, chain))
             log_val = predictive_point_logdensity(
-                draws, uniform_prior, vm5, [y1], pattern,
-                RngStream(64, chain), aug_replicates=1)
+                draws, vm5, [y1], RngStream(64, chain), aug_replicates=1)
             values.append(math.exp(log_val))
         values = np.asarray(values)
         se = values.std(ddof=1) / math.sqrt(values.size)
@@ -201,18 +197,17 @@ class TestPointLayer:
         else:
             window, kernel, prior = circle, vm5, uniform_prior
             locs, ys = [1.0, 4.0], [1.4, 2.5]
-        pattern = PointPattern(window, [locs[0], locs[0], locs[1]])
         draws = draw_table([(locs, [2, 1])])
         n_c = np.array([2.0, 1.0])
         k1 = eval_kernel(kernel, ys[0], np.asarray(locs))
         k2 = eval_kernel(kernel, ys[1], np.asarray(locs))
-        b1, b2 = base_predictive(prior, kernel, np.asarray(ys))
+        b1, b2 = window_mass(kernel, np.asarray(ys))
         theta = prior.total_mass_alpha
         exact = ((b1 + n_c @ k1) * (b2 + n_c @ k2) + n_c @ (k1 * k2)
                  + _alpha_integral(prior, kernel, ys)) \
             / ((theta + 3.0) * (theta + 4.0))
         values = np.array([math.exp(predictive_point_logdensity(
-            draws, prior, kernel, ys, pattern, RngStream(76, i),
+            draws, kernel, ys, RngStream(76, i),
             aug_replicates=8)) for i in range(2000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
@@ -235,8 +230,8 @@ class TestPointLayer:
         exact = (theta ** 2 * singles + theta * pairs
                  + 2.0 * block(0, 1, 2)) / ((theta + 1.0) * (theta + 2.0))
         values = np.array([math.exp(predictive_point_logdensity(
-            draw_table([([], [])]), uniform_prior, vm5, ys,
-            PointPattern.empty(circle), RngStream(77, i), aug_replicates=8))
+            draw_table([([], [])]), vm5, ys, RngStream(77, i),
+            aug_replicates=8))
             for i in range(6000)])
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) < 4 * se
@@ -263,10 +258,10 @@ class TestPointLayer:
         xs = [] if path == "empty" else [0.3, 0.4, 1.9, 2.1, 2.2, 3.5]
         pattern = PointPattern(window, xs)
         cfg = McmcConfig(burn_in=20, samples=6, thin=3)
-        draws = run_mcmc(pattern, prior, kernel, cfg, RngStream(78))
+        draws = run_mcmc(pattern, kernel, cfg, RngStream(78))
         fast_gen, slow_gen = (RngStream(79).generator() for _ in range(2))
-        fast = predictive_point_logdensity(draws, prior, kernel, ys, pattern,
-                                           fast_gen, aug_replicates=aug)
+        fast = predictive_point_logdensity(draws, kernel, ys, fast_gen,
+                                           aug_replicates=aug)
         slow = _loop_point_logdensity(draws, prior, kernel, ys, pattern,
                                       slow_gen, aug)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
@@ -278,13 +273,12 @@ class TestPointLayer:
         gen = RngStream(5, 0).generator()
         observed = sample_nhpp(sine2, 4.0, gen)
         future = sample_nhpp(sine2, 4.0, gen)
-        draws = run_mcmc(observed, uniform_prior, vm5,
+        draws = run_mcmc(observed, vm5,
                          McmcConfig(burn_in=100, samples=100, thin=1), gen)
         assert (observed.count, future.count) == (56, 52)
         assert draws.cluster_count_trace.max() == 24
-        assert peak_traced_mb(predictive_point_logdensity, draws,
-                              uniform_prior, vm5, future.points, observed,
-                              gen, 8) < 1.6
+        assert peak_traced_mb(predictive_point_logdensity, draws, vm5,
+                              future.points, gen, 8) < 1.6
 
     def test_point_layer_free_of_gamma_and_beta(self, circle, vm5):
         # the point layer reads only the base measure, so members of the
@@ -296,9 +290,10 @@ class TestPointLayer:
         for prior in (PriorSpec.uniform_unit(circle, gamma=0.0),
                       PriorSpec.uniform_unit(circle, gamma=TWO_PI - 1.0),
                       PriorSpec.uniform_unit(circle, beta=3.0)):
-            draws = run_mcmc(pattern, prior, vm5, cfg, RngStream(65))
+            draws = build_predictive(pattern, prior, vm5, 1.0, 1.0, cfg,
+                                     RngStream(65)).draws
             results.append(predictive_point_logdensity(
-                draws, prior, vm5, ys, pattern, RngStream(66)))
+                draws, vm5, ys, RngStream(66)))
         assert results[0] == results[1] == results[2]
 
 
@@ -320,8 +315,8 @@ class TestLogScore:
                                       cfg, RngStream(69))
         count_term = nb_log_pmf(predictive.r, predictive.p, 1)
         point_term = predictive_point_logdensity(
-            predictive.draws, uniform_prior, vm5, future.points, pattern,
-            RngStream(70), predictive.aug_replicates)
+            predictive.draws, vm5, future.points, RngStream(70),
+            predictive.aug_replicates)
         total = predictive.log_score(future, RngStream(70))
         assert total == count_term + point_term
 
@@ -344,8 +339,8 @@ class TestLogScore:
         assert predictive.r == pytest.approx(TWO_PI)
         future = PointPattern(circle, [1.0, 4.0])
         point = predictive_point_logdensity(
-            predictive.draws, uniform_prior, vm5, future.points,
-            predictive.pattern, RngStream(74), predictive.aug_replicates)
+            predictive.draws, vm5, future.points, RngStream(74),
+            predictive.aug_replicates)
         # first point scores the flat prior predictive 1/(2 pi); the second
         # sees one absorbed cluster
         assert point < 2 * math.log(1.0 / TWO_PI) + 1.0

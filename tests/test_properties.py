@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_table, kl_decomposed
-from nhppbayes import (KernelSpec, PriorSpec, Window, kl_intensity,
-                       mixture_intensity, nb_total_mass, posterior_lambda_bar)
+from nhppbayes import (KernelSpec, Window, kl_intensity, mixture_intensity,
+                       nb_total_mass, posterior_lambda_bar)
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Window.circle()
@@ -47,14 +47,13 @@ def test_lambda_bar_is_rotation_equivariant(draws, kappa, grid_size, shift):
     # by j nodes, since the uniform base and the kernel are rotation
     # invariant
     kernel = KernelSpec.von_mises(kappa, CIRCLE)
-    prior = PriorSpec.uniform_unit(CIRCLE)
     grid = CIRCLE.grid(grid_size)
     j = shift % grid_size
     step = TWO_PI / grid_size
     rotated = dataclasses.replace(
         draws, locations=np.mod(draws.locations + j * step, TWO_PI))
-    values = posterior_lambda_bar(draws, prior, kernel, grid).values
-    moved = posterior_lambda_bar(rotated, prior, kernel, grid).values
+    values = posterior_lambda_bar(draws, kernel, grid).values
+    moved = posterior_lambda_bar(rotated, kernel, grid).values
     np.testing.assert_allclose(moved, np.roll(values, j), rtol=1e-10, atol=0)
 
 

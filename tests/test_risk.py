@@ -45,7 +45,7 @@ class TestKlIntensity:
             pytest.approx(3.0 * kl_intensity(sine2, two, 1.0), rel=1e-12)
 
     def test_rejects_zero_estimate(self, sine2, circle):
-        zeroed = IntensityModel(circle, "closed_form", 1.0,
+        zeroed = IntensityModel(circle, 1.0,
                                 lambda u: np.maximum(np.sin(u), 0.0))
         with pytest.raises(ModelError):
             kl_intensity(sine2, zeroed, 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -129,6 +130,32 @@ class TestSampleNhpp:
         assert mass == pytest.approx(5.0, abs=1e-3)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - mass) < 4 * se
+
+    @pytest.mark.parametrize("case, counts, digest", [
+        ("von_mises", [17, 28, 25, 18, 23, 22],
+         "ecb34a38f663adef19cccca24888fa5a05f8d01c435348c6ab154f9702ddfc81"),
+        # the first draw makes 19 points and keeps the 10 inside [0, 4]
+        ("gaussian", [10, 7, 13, 11, 13, 5],
+         "338500e259d7f8f356956048cdf0cf3fb7dd42be7544715277e65eca066148ad"),
+    ])
+    def test_mixture_points_pinned(self, case, counts, digest):
+        # no CLI command samples a mixture, so the golden hashes miss this
+        # stream: six patterns from one generator, bit for bit
+        from nhppbayes import KernelSpec, Window
+        if case == "von_mises":
+            model = mixture_intensity(KernelSpec.von_mises(5.0),
+                                      [0.3, 2.0, 6.1], [4.0, 2.0, 3.0])
+        else:
+            window = Window.interval(0.0, 4.0)
+            model = mixture_intensity(KernelSpec.gaussian(0.7, window),
+                                      [0.0, 2.5, 4.0], [5.0, 2.0, 3.0])
+        gen = RngStream(41).generator()
+        patterns = [sample_nhpp(model, 2.0, gen) for _ in range(6)]
+        assert [p.count for p in patterns] == counts
+        sha = hashlib.sha256()
+        for p in patterns:
+            sha.update(p.points.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestSampleCrp:
