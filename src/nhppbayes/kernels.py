@@ -45,8 +45,12 @@ drops the mixture points that land outside, and ``window_mass``, the base
 term of the posterior, integrates the kernel over the window only.
 
 A ``KernelSpec``'s window decides its kernel.  Outside this module only the
-chain's inlined sweep and the posterior shape's series-or-direct-sum choice
-branch on the kernel.
+chain's sweep and the posterior shape's series-or-direct-sum choice branch
+on the kernel.  The sweep takes a block's auxiliary weights from
+``eval_peak_ratio``, the kernel scaled to its peak, but still inlines the
+same weights of its occupied clusters (on the circle from each cluster's
+trig table) and the refresh's acceptance ratio, where a call per weight
+would cost more than the weight.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -168,6 +172,17 @@ class KernelSpec:
 
 def eval_kernel(spec: KernelSpec, y, u):
     """Kernel density k(y, u); symmetric in its arguments, broadcasting."""
+    return _exp_kernel(spec, y, u, spec.log_norm)
+
+
+def eval_peak_ratio(spec: KernelSpec, y, u):
+    """k(y, u) / k(u, u): exp(kappa cos(y - u) - kappa) or exp(-(y - u)^2 /
+    (2 sigma^2)), at most 1 and finite at any kappa; broadcasting."""
+    return _exp_kernel(spec, y, u, spec.kappa if spec.window.is_circle else 0.0)
+
+
+def _exp_kernel(spec: KernelSpec, y, u, shift: float):
+    """exp(log k(y, u) + log_norm - shift)."""
     # in place: on the posterior-mean grids temporaries cost more than math
     out = np.asarray(np.subtract(y, u, dtype=float))
     if spec.window.is_circle:
@@ -181,7 +196,7 @@ def eval_kernel(spec: KernelSpec, y, u):
         out /= spec.sigma
         out *= out
         out *= -0.5
-    out -= spec.log_norm
+    out -= shift
     np.exp(out, out=out)
     return out if out.ndim else out[()]
 

@@ -20,7 +20,9 @@ as it reads any draw; the estimate is then the prior predictive.
 The chain draws its randomness in blocks whose shape depends on N and the
 config alone, never on the chain's path (see ``run_mcmc``), so the
 generator's state after a chain is a function of its stream, N and the
-config.
+config.  Each block's auxiliary weights come from one numpy pass, each
+cluster record carries its location's trig table, and the records' stat
+sums are rebuilt once per sweep, so little Python work is per observation.
 
 The shape estimate never depends on beta, gamma, or s, so one chain serves
 every member of the prior family at once; estimators for different gamma
@@ -39,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
-from .kernels import (KernelSpec, check_window, member_stats, mixture_density,
-                      mixture_series, window_mass)
+from .kernels import (KernelSpec, check_window, eval_peak_ratio, member_stats,
+                      mixture_density, mixture_series, window_mass)
 from .simulate import RngLike, as_generator
 
 
@@ -143,6 +145,15 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
     of the K <= N clusters reads the first K uniforms and steps.  So the
     generator's state after the chain depends on its stream, N and the
     config, not on the chain's path.
+
+    Sweep: each observation leaves its cluster and picks among the occupied
+    clusters and m auxiliary candidates (Neal 2000, Algorithm 8), whose
+    weights for the whole block come from one ``eval_peak_ratio`` call; a
+    singleton it empties is candidate 0 and keeps its record if picked.  A
+    cluster record is [location, members, stat sum 0, stat sum 1, rank],
+    plus A, B = kappa (cos u, sin u) on the circle, where an observation's
+    member stats (a, b) weigh exp(a A + b B - kappa) with no trig call.  The
+    stat sums are rebuilt from the assignment for each location refresh.
     """
     check_window(kernel, pattern.window, "pattern")
     n_obs = pattern.count
@@ -153,32 +164,35 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
     if rng is None:
         raise ModelError("run_mcmc needs an RngStream or Generator")
     gen = as_generator(rng)
-    xs = [float(v) for v in pattern.points]
+    xs = pattern.points.tolist()
     window = kernel.window
-    theta = window.length
     m_aux = _AUX_COMPONENTS
-    aux_w = theta / m_aux
+    aux_w = window.length / m_aux
     circular = window.is_circle
     win_a, win_b = window.a, window.b
 
-    # scalar fast paths: kernel weights are inlined in the sweep loop below
-    # (normalizing constants cancel in every categorical draw, so the von
-    # Mises weight is scaled by exp(-kappa) to stay finite at large kappa)
+    # scalar fast paths: the clusters' weights are inlined in the sweep loop
+    # below, scaled to the kernel's peak like ``eval_peak_ratio``'s, since
+    # normalizing constants cancel in every categorical draw
     cos, sin, exp = math.cos, math.sin, math.exp
     if circular:
         kap = kernel.kappa
     else:
         inv2s2 = 0.5 / (kernel.sigma * kernel.sigma)
 
-    # state: one record [location, members, stat sum 0, stat sum 1, rank] per
-    # occupied cluster, in ``active`` order; observation i sits in assign[i].
-    # A record leaves ``active`` when its last member does; list.remove can
-    # match no other record, since only that one has 0 members.
+    # state: one record (see the docstring) per occupied cluster, in
+    # ``active`` order; observation i sits in assign[i].  A record leaves
+    # ``active`` when its last member does; list.remove can match no other
+    # record, since only that one has 0 members.
+    def record(u):  # a new singleton cluster at location u
+        return [u, 1, 0.0, 0.0, 0] + ([kap * cos(u), kap * sin(u)]
+                                      if circular else [])
+
     stats = [member_stats(kernel, x) for x in xs]
     sx0 = [s[0] for s in stats]
     sx1 = [s[1] for s in stats]
     # init: one singleton cluster per point
-    assign = [[x, 1, s0, s1, 0] for x, (s0, s1) in zip(xs, stats)]
+    assign = [record(x) for x in xs]
     active = list(assign)
 
     kept_assign = []
@@ -192,71 +206,83 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
 
     # the draws come in blocks whose shape depends on N alone (see the
     # docstring).  In a row of ``uniforms``, columns [0, N) pick a cluster,
-    # [N, N (1 + m)) become the auxiliary locations and [N (1 + m),
-    # N (2 + m)) accept a refresh.  Both buffers are made once and refilled
-    # in place, so a chain allocates no array per block, and a row becomes a
-    # list only for its own sweep.
+    # [N, N (1 + m)) become the auxiliary locations, m per observation, and
+    # [N (1 + m), N (2 + m)) accept a refresh.  Both buffers are made once
+    # and refilled in place, and every auxiliary weight of a block is taken
+    # in one pass; a row becomes a list only for its own sweep.
+    x_aux = np.repeat(pattern.points, m_aux)
     aux_end = n_obs * (1 + m_aux)
     rows = max(1, _BLOCK_DRAWS // (n_obs * (3 + m_aux)))
     uniforms = np.empty((rows, n_obs * (2 + m_aux)))
     normals = np.empty((rows, n_obs))
-    for first in range(0, total_sweeps, rows):
-        n_rows = min(rows, total_sweeps - first)
+    for start in range(0, total_sweeps, rows):
+        n_rows = min(rows, total_sweeps - start)
         block = gen.random(out=uniforms[:n_rows])
         steps = gen.standard_normal(out=normals[:n_rows])
         steps *= _LOCATION_STEP
         aux = block[:, n_obs:aux_end]
         aux *= win_b - win_a
         aux += win_a
-        for sweep, row, z in zip(range(first, first + n_rows), block, steps):
+        aux_wts = (eval_peak_ratio(kernel, x_aux, aux) * aux_w).tolist()
+        for sweep, row, z, wts in zip(range(start, start + n_rows), block,
+                                      steps, aux_wts):
             row = row.tolist()
             z = z.tolist()
             for i in range(n_obs):
-                xi = xs[i]
                 rec = assign[i]
                 rec[1] -= 1
-                rec[2] -= sx0[i]
-                rec[3] -= sx1[i]
-                base = n_obs + i * m_aux
-                aux_locs = row[base:base + m_aux]
-                if rec[1] == 0:
-                    aux_locs[0] = rec[0]
+                first = base = i * m_aux
+                emptied = not rec[1]
+                if emptied:
+                    # the emptied singleton is auxiliary candidate 0: it
+                    # moves behind the clusters at the auxiliary weight
                     active.remove(rec)
-
+                    active.append(rec)
+                    rec[1] = aux_w
+                    first += 1
                 total = 0.0
                 cumulative = []
                 edge_append = cumulative.append
                 if circular:
+                    a, b = sx0[i], sx1[i]
                     for c in active:
-                        total += c[1] * exp(kap * cos(xi - c[0]) - kap)
-                        edge_append(total)
-                    for u in aux_locs:
-                        total += aux_w * exp(kap * cos(xi - u) - kap)
+                        total += c[1] * exp(a * c[5] + b * c[6] - kap)
                         edge_append(total)
                 else:
+                    xi = xs[i]
                     for c in active:
                         d = xi - c[0]
                         total += c[1] * exp(-d * d * inv2s2)
                         edge_append(total)
-                    for u in aux_locs:
-                        d = xi - u
-                        total += aux_w * exp(-d * d * inv2s2)
-                        edge_append(total)
+                for w in wts[first:base + m_aux]:
+                    total += w
+                    edge_append(total)
 
                 # the first edge above the draw; rounding can leave none,
                 # and then the last auxiliary candidate is taken
                 pick = bisect_right(cumulative, row[i] * total)
                 n_active = len(active)
+                if emptied:
+                    if pick == n_active - 1:  # it keeps its record
+                        rec[1] = 1
+                        continue
+                    active.pop()
+                    n_active -= 1
                 if pick < n_active:
                     rec = active[pick]
                     rec[1] += 1
-                    rec[2] += sx0[i]
-                    rec[3] += sx1[i]
                 else:
-                    rec = [aux_locs[min(pick - n_active, m_aux - 1)], 1,
-                           sx0[i], sx1[i], 0]
+                    rec = record(row[n_obs + base
+                                     + min(pick - n_active, m_aux - 1)])
                     active.append(rec)
                 assign[i] = rec
+
+            # the stat sums, rebuilt from the assignment for the refresh
+            for rec in active:
+                rec[2] = rec[3] = 0.0
+            for rec, s0, s1 in zip(assign, sx0, sx1):
+                rec[2] += s0
+                rec[3] += s1
 
             # random-walk refresh of every occupied cluster location; zip
             # stops at the K records, reading the first K steps and uniforms
@@ -265,12 +291,11 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
             proposals += k_active
             if circular:
                 for rec, step, v in zip(active, z, accept_u):
-                    u = rec[0]
-                    up = (u + step) % TWO_PI
-                    delta = kap * (rec[2] * (cos(up) - cos(u))
-                                   + rec[3] * (sin(up) - sin(u)))
+                    up = (rec[0] + step) % TWO_PI
+                    a, b = kap * cos(up), kap * sin(up)
+                    delta = rec[2] * (a - rec[5]) + rec[3] * (b - rec[6])
                     if delta >= 0.0 or v < exp(delta):
-                        rec[0] = up
+                        rec[0], rec[5], rec[6] = up, a, b
                         accepts += 1
             else:
                 for rec, step, v in zip(active, z, accept_u):

@@ -277,6 +277,7 @@ class TestPredict:
         capsys.readouterr()
         code, _, err = run(["predict", "--pattern", str(pat)], capsys)
         assert code == 2
+        assert "--future" in err
 
 
 class TestRisk:
@@ -299,6 +300,7 @@ class TestRisk:
     def test_requires_check_or_study(self, capsys):
         code, _, err = run(["risk"], capsys)
         assert code == 2
+        assert "--check" in err
 
     def test_malformed_study_exits_2(self, tmp_path, capsys, no_chain):
         # an empty w_grid would certify nothing, so it is an error too

@@ -14,8 +14,9 @@ from conftest import peak_traced_mb
 from nhppbayes import (KernelSpec, ModelError, Window, bessel_i0, eval_kernel,
                        mixture_density, mixture_intensity, quadrature,
                        validate)
-from nhppbayes.kernels import (_bessel_ratios, eval_table, kernel_table,
-                               mixture_series, sample_kernel_posterior)
+from nhppbayes.kernels import (_bessel_ratios, eval_peak_ratio, eval_table,
+                               kernel_table, mixture_series,
+                               sample_kernel_posterior)
 
 TWO_PI = 2.0 * math.pi
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,6 +135,33 @@ class TestEvalKernel:
         np.testing.assert_array_equal(
             eval_table(spec, 1.5, kernel_table(spec, u)),
             eval_kernel(spec, 1.5, u))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 800.0, None])
+    def test_peak_ratio_is_the_scaled_kernel(self, kappa):
+        # k(y, u) / k(u, u) = k(y, u) exp(log_norm - peak exponent), with
+        # peak exponent kappa, or 0 for the Gaussian (kappa None), within
+        # the rounding of exponents of that size; it is 1 where y = u and
+        # at most 1 everywhere
+        rng = np.random.default_rng(2)
+        if kappa is None:
+            spec = KernelSpec.gaussian(0.7, Window.interval(-5, 5))
+            y, u = rng.uniform(-5, 5, (2, 40, 50))
+            peak = 0.0
+        else:
+            spec = KernelSpec.von_mises(kappa)
+            y, u = rng.uniform(0, TWO_PI, (2, 40, 50))
+            peak = kappa
+        y[0] = u[0]
+        ratio = eval_peak_ratio(spec, y, u)
+        scaled = eval_kernel(spec, y, u) * math.exp(spec.log_norm - peak)
+        normal = scaled > 1e-290
+        size = (np.abs(np.log(scaled[normal]))
+                + abs(spec.log_norm - peak) + 2.0)
+        assert np.all(np.abs(ratio[normal] / scaled[normal] - 1.0)
+                      <= 4.5e-16 * size)
+        assert np.all(ratio[~normal] < 1e-289)
+        np.testing.assert_array_equal(ratio[0], 1.0)
+        assert np.all(ratio <= 1.0)
 
     def test_positive_everywhere(self, vm5, circle):
         grid = circle.grid(512)

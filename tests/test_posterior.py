@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,65 @@ class TestRunMcmc:
         np.testing.assert_array_equal(after[0], after[1])
         np.testing.assert_array_equal(after[0], replay.random(4))
 
+    @pytest.mark.parametrize("case, digest", [
+        ("kappa_0.5",
+         "01bf4238f17a7d0d4f6701e5d082ca5704a6eb4b032f83db5de5bf7cb4473c6b"),
+        ("kappa_50",
+         "f0f7618da2f4f044409cedb711b43622b84e8e28970ee617a721513557faf201"),
+        # an unscaled exp(kappa cos d) overflows at kappa = 800
+        ("kappa_800",
+         "7a58c17aa02515eddfdc189314b9271e9a78d86c3ddb9a2d8199fe54115ce777"),
+        ("n_1",
+         "a8082088c2111f03eba4e36a4405b79c0b7dd796f257705eac2448e4faff5b85"),
+        # 11 sweeps per block, and the last point repeats the eighth
+        ("n_60",
+         "d23617e09283462c300865be9898a625e6f506651338fa9b97f007b037d24d9a"),
+        ("gaussian_edges",
+         "5aa00a39a0313dde432ed88d0f508bcc3cb048d0b55d5effc90f58b5cb95c1de"),
+    ])
+    def test_draw_tables_pinned(self, case, digest):
+        # the golden CLI hashes run von Mises chains at kappa 5 and 20 with
+        # 1 < N < 60, and a Gaussian at sigma 0.5 with no point on an edge;
+        # these chains pin the draw table and acceptance rate, bit for bit,
+        # where those do not reach
+        if case == "gaussian_edges":
+            kernel = KernelSpec.gaussian(0.05, Window.interval(0.0, 4.0))
+            xs = [0.0, 0.03, 1.7, 3.96, 4.0]
+        elif case == "n_1":
+            kernel, xs = KernelSpec.von_mises(5.0), [1.3]
+        elif case == "n_60":
+            kernel = KernelSpec.von_mises(5.0)
+            xs = np.r_[1.0 + 0.01 * np.arange(30), 4.0 + 0.02 * np.arange(29)]
+            xs = np.append(xs, xs[7])
+        else:
+            kernel = KernelSpec.von_mises(float(case.split("_")[1]))
+            xs = [0.3, 0.31, 1.1, 2.0, 4.0, 4.02, 6.2]
+        res = run_mcmc(PointPattern(kernel.window, xs), kernel,
+                       McmcConfig(burn_in=40, samples=30, thin=2),
+                       RngStream(37))
+        sha = hashlib.sha256()
+        for part in (res.assignments, res.locations, res.counts,
+                     res.cluster_count_trace,
+                     np.float64(res.acceptance_rate)):
+            sha.update(part.tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1.0, 1e150])
+    def test_gaussian_chain_on_the_widest_window_warns_nothing(self, sigma):
+        # the auxiliary weights of a block are taken in numpy, where
+        # (d / sigma)^2 would overflow past d = 1e154 sigma without the
+        # kernel's clamp
+        window = Window.interval(0.0, 1e308)
+        kernel = KernelSpec.gaussian(sigma, window)
+        pattern = PointPattern(window, [0.0, 1.0, 1e300, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_mcmc(pattern, kernel,
+                           McmcConfig(burn_in=20, samples=10, thin=1),
+                           RngStream(8))
+        assert res.assignments.shape == (10, 4)
+        assert np.all((res.locations >= 0.0) & (res.locations <= 1e308))
+
     def test_large_kappa_chain_finishes(self, circle, uniform_prior):
         # kappa = 800 overflows an unscaled exp(kappa cos d)
         sharp = KernelSpec.von_mises(800.0, circle)
@@ -134,7 +195,7 @@ class TestRunMcmc:
             np.testing.assert_array_equal(np.bincount(row, minlength=k),
                                           res.counts[end - k:end])
 
-    def test_single_point_posterior_location(self, circle, vm5, uniform_prior):
+    def test_single_point_posterior_location(self, circle, vm5):
         # with one observation and a uniform base the cluster location has
         # stationary law proportional to the kernel centered at the point
         x1 = 1.3
@@ -142,7 +203,6 @@ class TestRunMcmc:
         cfg = McmcConfig(burn_in=500, samples=4000, thin=5)
         res = run_mcmc(pattern, vm5, cfg, RngStream(11))
         locs = res.locations  # one cluster per draw
-        z = np.exp(1j * locs)
         cos_trace = np.cos(locs - x1)
         from scipy.special import i0, i1
         target = float(i1(5.0) / i0(5.0))

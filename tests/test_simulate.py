@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import poisson_gof_pvalue
-from nhppbayes import (IntensityModel, ModelError, PriorSpec, RngStream,
+from nhppbayes import (IntensityModel, ModelError, RngStream,
                        mixture_intensity, sample_crp, sample_nhpp)
 
 TWO_PI = 2.0 * math.pi
