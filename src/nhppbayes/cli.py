@@ -37,9 +37,7 @@ the prior gamma 2 pi - 1 (the uniform base's |alpha| - 1), ``estimation``
 reports gamma beside 2 pi - 1, and ``theorem4`` and ``domination`` tabulate
 gamma against abs_alpha - 1 over w_grid.  The three studies write a CSV
 report to ``--out`` (default ``risk_report.csv``) and a JSON one beside it;
-``theorem4`` writes the CSV only when ``--out`` is given.  The study keys
-``gammas`` and ``gamma_pairs`` and the flag ``--w-points`` are retired for
-``--gamma`` and ``--w-grid``, and ``--kernel`` for ``--window``.
+``theorem4`` writes the CSV only when ``--out`` is given.
 """
 
 from __future__ import annotations
@@ -74,23 +72,19 @@ FIGURE1_POINTS = (0.29, 1.55, 2.06, 2.85, 2.87, 3.60, 5.55, 5.61, 5.65, 6.01)
 MIN_ACCEPTANCE = 0.05
 
 
-class CliError(Exception):
-    """A configuration error found by the front end: exit 2."""
-
-
 def named_intensity(name: str, window: Window) -> IntensityModel:
     if name == "sine2":
         if not window.is_circle:
-            raise CliError("intensity 'sine2' lives on the circle")
+            raise ModelError("intensity 'sine2' lives on the circle")
         return IntensityModel.from_function(
             window, lambda u: np.sin(u) + 2.0, total_mass=4.0 * math.pi)
     if name.startswith("const:"):
         try:
             value = float(name.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"bad constant intensity {name!r}")
+            raise ModelError(f"bad constant intensity {name!r}")
         return IntensityModel.constant(window, value)
-    raise CliError(f"unknown intensity {name!r} (use sine2 or const:VALUE)")
+    raise ModelError(f"unknown intensity {name!r} (use sine2 or const:VALUE)")
 
 
 def parse_window(text: str) -> Window:
@@ -100,7 +94,7 @@ def parse_window(text: str) -> Window:
         a, b = (float(v) for v in text.split(","))
         return Window.interval(a, b)
     except (ValueError, ModelError) as exc:
-        raise CliError(f"bad window {text!r}: {exc}")
+        raise ModelError(f"bad window {text!r}: {exc}")
 
 
 def cmd_simulate(args) -> int:
@@ -116,7 +110,7 @@ def _load_pattern(path, window: Window) -> PointPattern:
     try:
         return PointPattern.from_csv(path, window)
     except (OSError, ModelError) as exc:
-        raise CliError(f"cannot load pattern {path}: {exc}")
+        raise ModelError(f"cannot load pattern {path}: {exc}")
 
 
 def _build_kernel(args, window: Window) -> KernelSpec:
@@ -128,7 +122,7 @@ def _build_kernel(args, window: Window) -> KernelSpec:
 def _gammas(args, prior_mass: float) -> list:
     gammas = args.gamma + ([prior_mass - 1.0] if args.shrink else [])
     if not gammas:
-        raise CliError("estimate needs a --gamma or --shrink")
+        raise ModelError("estimate needs a --gamma or --shrink")
     return list(dict.fromkeys(gammas))
 
 
@@ -179,7 +173,7 @@ def cmd_predict(args) -> int:
     window = parse_window(args.window)
     pattern = _load_pattern(args.pattern, window)
     if not args.future:
-        raise CliError("predict needs at least one --future pattern")
+        raise ModelError("predict needs at least one --future pattern")
     kernel = _build_kernel(args, window)
     prior = PriorSpec.uniform_unit(window, gamma=args.gamma_value)
     mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
@@ -288,7 +282,7 @@ def _domination_study(args):
     report = domination_study(args.abs_alpha, args.gamma, args.w_grid,
                               args.tau)
     if not report.entries:
-        raise CliError("; ".join(report.notes))
+        raise ModelError("; ".join(report.notes))
     return report
 
 
@@ -314,8 +308,8 @@ def _check_reads(args, built_in: dict) -> None:
     ``built_in`` default, by a flag or by the config file."""
     if args.command == "risk":
         if args.kind is None:
-            raise CliError("risk needs --check KIND, or a config file with a "
-                           "'kind' key")
+            raise ModelError("risk needs --check KIND, or a config file "
+                             "with a 'kind' key")
         run = f"risk --check {args.kind}"
         reads = {"config", "kind", "seed", *RISK_OPTIONS[args.kind]}
         unread = [key for key in vars(args) if key not in reads]
@@ -327,7 +321,7 @@ def _check_reads(args, built_in: dict) -> None:
     unread = [key for key in unread
               if key in built_in and getattr(args, key) != built_in[key]]
     if unread:
-        raise CliError(f"{run} does not read {', '.join(unread)}")
+        raise ModelError(f"{run} does not read {', '.join(unread)}")
 
 
 def cmd_risk(args) -> int:
@@ -339,8 +333,8 @@ def cmd_risk(args) -> int:
     out_json = os.path.splitext(out)[0] + ".json"
     if args.config and os.path.realpath(out_json) == os.path.realpath(
             args.config):
-        raise CliError(f"--out {out} would write its JSON report over the "
-                       f"config file {args.config}")
+        raise ModelError(f"--out {out} would write its JSON report over "
+                         f"the config file {args.config}")
     report = STUDIES[args.kind](args)
     report.to_csv(out)
     write_json(out_json, report.to_json_obj())
@@ -559,7 +553,7 @@ def main(argv=None) -> int:
         # exit, which would raise again on the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (CliError, ModelError, OSError) as exc:  # OSError: an output path
+    except (ModelError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -49,8 +49,8 @@ chain's sweep and the posterior shape's series-or-direct-sum choice branch
 on the kernel.  The sweep takes a block's auxiliary weights from
 ``eval_peak_ratio``, the kernel scaled to its peak, but still inlines the
 same weights of its occupied clusters (on the circle from each cluster's
-trig table) and the refresh's acceptance ratio, where a call per weight
-would cost more than the weight.
+trig table) and the von Mises refresh's acceptance ratio, where a call per
+weight would cost more than the weight.
 
 Kernel parameters are fixed known constants; there is no hyperprior layer.
 """
@@ -67,6 +67,7 @@ import numpy as np
 from .core import TWO_PI, IntensityModel, ModelError, Window
 
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
+_SQRT_HALF = math.sqrt(0.5)
 _SERIES_TOL = 1e-17  # smallest Bessel ratio I_n / I0 the series keeps
 # most terms a von Mises spec may keep; about sqrt(2 kappa log(1 / tol)) =
 # 8.85 sqrt(kappa) are kept, so kappa may reach about 1.3e8
@@ -206,15 +207,24 @@ def window_mass(spec: KernelSpec, y: np.ndarray) -> np.ndarray:
 
     On the circle the von Mises kernel integrates to one, so this is 1.  On
     an interval [a, b] it is the Gaussian mass inside the window,
-    Phi((b - y) / sigma) - Phi((a - y) / sigma), taken through ``math.erf``.
+    Phi((b - y) / sigma) - Phi((a - y) / sigma).
     """
     window = spec.window
     if window.is_circle:
         return np.ones(y.size)
-    scale = spec.sigma * math.sqrt(2.0)
-    return np.array([0.5 * (math.erf((window.b - v) / scale)
-                            - math.erf((window.a - v) / scale))
+    return np.array([_normal_mass((window.a - v) / spec.sigma,
+                                  (window.b - v) / spec.sigma)
                      for v in y.tolist()])
+
+
+def _phi(z: float) -> float:
+    """The standard normal CDF, with relative precision in its lower tail."""
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
+
+
+def _normal_mass(lo: float, hi: float) -> float:
+    """Phi(hi) - Phi(lo), taken in the tail where both terms are small."""
+    return _phi(hi) - _phi(lo) if lo + hi < 0.0 else _phi(-lo) - _phi(-hi)
 
 
 def check_window(spec: KernelSpec, window: Window, what: str) -> None:
@@ -310,41 +320,47 @@ def mixture_intensity(spec: KernelSpec, locations, weights) -> IntensityModel:
         kernel=spec, atom_locations=locs, atom_weights=wts)
 
 
-# ---------------------------------------------------------------------------
-# Cluster sufficient statistics.
-#
-# Both kernels admit two-number sufficient statistics for the product of
-# kernel values over a cluster's members, which keeps the samplers cheap:
-#   von Mises: (sum cos x_i, sum sin x_i), since
-#       sum_i cos(x_i - u) = C cos u + S sin u;
-#   Gaussian:  (sum x_i, sum x_i^2).
-# ---------------------------------------------------------------------------
-
-def member_stats(spec: KernelSpec, x: float):
+def member_stats(spec: KernelSpec, xs: list) -> tuple:
+    """Two lists of the points' stats, summed over a cluster's n members:
+    cos x and sin x on the circle (sum cos(x - u) = C cos u + S sin u), x and
+    0 on an interval (the location's law is N(sum x / n, sigma^2 / n) cut to
+    the window, drawn by ``truncated_normal``)."""
     if spec.window.is_circle:
-        return math.cos(x), math.sin(x)
-    return x, x * x
+        return [math.cos(x) for x in xs], [math.sin(x) for x in xs]
+    return list(xs), [0.0] * len(xs)
+
+
+def truncated_normal(spec: KernelSpec):
+    """draw(mean, n, v): the v-quantile, v in [0, 1), of N(mean, sigma^2 / n)
+    truncated to the window, read from the tail it lies in."""
+    from statistics import NormalDist  # 2-3 ms to import: intervals only
+    inv_phi = NormalDist().inv_cdf
+    a, b, sigma = spec.window.a, spec.window.b, spec.sigma
+
+    def draw(mean: float, n: int, v: float) -> float:
+        s = sigma / math.sqrt(n)
+        lo, hi = (a - mean) / s, (b - mean) / s
+        mass = _normal_mass(lo, hi)
+        if not mass > 0.0:  # the window lies past about 38 s: its near edge
+            return min(max(mean, a), b)
+        p = _phi(lo) + v * mass
+        if p <= 0.5:
+            z = inv_phi(p) if p > 0.0 else lo
+        else:
+            z = -inv_phi(_phi(-hi) + (1.0 - v) * mass)
+        return min(max(mean + s * z, a), b)
+    return draw
 
 
 def sample_kernel_posterior(spec: KernelSpec, x: float, gen,
                             size: int) -> np.ndarray:
     """``size`` draws of u from the density proportional to k(x, u) on the
-    window (the uniform unit base).
-
-    This is the kernel centered at x, truncated to the window for the
-    Gaussian: an exact inverse-normal-CDF draw between the window edges, one
-    uniform per draw.
-    """
-    window = spec.window
+    window (the uniform unit base); on an interval, ``truncated_normal``
+    draws from one uniform each."""
     if spec.window.is_circle:
         return np.mod(gen.vonmises(x, spec.kappa, size), TWO_PI)
-    # imported here, the only scipy use in the package: importing
-    # scipy.special costs about 0.3 s and 18 MB, which every command and
-    # subprocess would otherwise pay at start-up
-    from scipy.special import ndtr, ndtri
-    lo, hi = ndtr((np.array([window.a, window.b]) - x) / spec.sigma)
-    u = x + spec.sigma * ndtri(lo + gen.random(size) * (hi - lo))
-    return np.clip(u, window.a, window.b)
+    draw = truncated_normal(spec)
+    return np.array([draw(x, 1, v) for v in gen.random(size).tolist()])
 
 
 def sample_kernel_points(spec: KernelSpec, centers, gen) -> np.ndarray:

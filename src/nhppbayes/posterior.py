@@ -6,8 +6,8 @@ divided by (s + 1/beta), with the improper limit dropping the 1/beta term.
 The shape posterior is a Dirichlet-process mixture handled by MCMC over the
 latent clustering of the observations, using auxiliary-component Gibbs
 reassignment (a handful of fresh candidate locations per step, uniform on
-the window like the base measure) plus a random-walk Metropolis refresh of
-each cluster location every sweep.
+the window like the base measure) plus a refresh of each location every
+sweep: random-walk Metropolis on the circle, exact Gibbs on an interval.
 
 ``run_mcmc`` keeps its draws as one flat table, ``McmcResult``: a draws x N
 array of cluster ranks, the locations and member counts of every kept atom
@@ -42,12 +42,13 @@ import numpy as np
 
 from .core import TWO_PI, GridDensity, ModelError, PointPattern, PriorSpec
 from .kernels import (KernelSpec, check_window, eval_peak_ratio, member_stats,
-                      mixture_density, mixture_series, window_mass)
+                      mixture_density, mixture_series, truncated_normal,
+                      window_mass)
 from .simulate import RngLike, as_generator
 
 
 # Chain tuning: fresh candidate locations per reassignment step (Neal's
-# Algorithm 8 auxiliary components) and the random-walk refresh's scale.
+# Algorithm 8 auxiliary components) and the circle's random-walk scale.
 _AUX_COMPONENTS = 3
 _LOCATION_STEP = 0.2
 # target doubles per block of sweeps' draws (uniforms plus steps); a block
@@ -141,10 +142,10 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
     for (rows, N) normals scaled by ``_LOCATION_STEP``, which take the same
     draws as ``normal(0, _LOCATION_STEP, (rows, N))``.  Row j of each feeds one
     sweep: N reassignment uniforms, N m auxiliary locations (scaled to the
-    window) and N acceptance uniforms, and N random-walk steps; the refresh
-    of the K <= N clusters reads the first K uniforms and steps.  So the
-    generator's state after the chain depends on its stream, N and the
-    config, not on the chain's path.
+    window) and N refresh uniforms, and N random-walk steps; the refresh of
+    the K <= N clusters reads the first K uniforms, and on the circle the
+    first K steps.  So the generator's state after the chain depends on its
+    stream, N and the config, not on the chain's path.
 
     Sweep: each observation leaves its cluster and picks among the occupied
     clusters and m auxiliary candidates (Neal 2000, Algorithm 8), whose
@@ -169,7 +170,6 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
     m_aux = _AUX_COMPONENTS
     aux_w = window.length / m_aux
     circular = window.is_circle
-    win_a, win_b = window.a, window.b
 
     # scalar fast paths: the clusters' weights are inlined in the sweep loop
     # below, scaled to the kernel's peak like ``eval_peak_ratio``'s, since
@@ -179,6 +179,7 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
         kap = kernel.kappa
     else:
         inv2s2 = 0.5 / (kernel.sigma * kernel.sigma)
+        draw = truncated_normal(kernel)
 
     # state: one record (see the docstring) per occupied cluster, in
     # ``active`` order; observation i sits in assign[i].  A record leaves
@@ -188,9 +189,7 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
         return [u, 1, 0.0, 0.0, 0] + ([kap * cos(u), kap * sin(u)]
                                       if circular else [])
 
-    stats = [member_stats(kernel, x) for x in xs]
-    sx0 = [s[0] for s in stats]
-    sx1 = [s[1] for s in stats]
+    sx0, sx1 = member_stats(kernel, xs)
     # init: one singleton cluster per point
     assign = [record(x) for x in xs]
     active = list(assign)
@@ -207,7 +206,7 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
     # the draws come in blocks whose shape depends on N alone (see the
     # docstring).  In a row of ``uniforms``, columns [0, N) pick a cluster,
     # [N, N (1 + m)) become the auxiliary locations, m per observation, and
-    # [N (1 + m), N (2 + m)) accept a refresh.  Both buffers are made once
+    # [N (1 + m), N (2 + m)) refresh a location.  Both buffers are made once
     # and refilled in place, and every auxiliary weight of a block is taken
     # in one pass; a row becomes a list only for its own sweep.
     x_aux = np.repeat(pattern.points, m_aux)
@@ -221,8 +220,8 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
         steps = gen.standard_normal(out=normals[:n_rows])
         steps *= _LOCATION_STEP
         aux = block[:, n_obs:aux_end]
-        aux *= win_b - win_a
-        aux += win_a
+        aux *= window.length
+        aux += window.a
         aux_wts = (eval_peak_ratio(kernel, x_aux, aux) * aux_w).tolist()
         for sweep, row, z, wts in zip(range(start, start + n_rows), block,
                                       steps, aux_wts):
@@ -284,13 +283,12 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
                 rec[2] += s0
                 rec[3] += s1
 
-            # random-walk refresh of every occupied cluster location; zip
-            # stops at the K records, reading the first K steps and uniforms
-            accept_u = row[aux_end:]
+            # refresh every occupied location; zip stops at the K records
+            refresh_u = row[aux_end:]
             k_active = len(active)
             proposals += k_active
             if circular:
-                for rec, step, v in zip(active, z, accept_u):
+                for rec, step, v in zip(active, z, refresh_u):
                     up = (rec[0] + step) % TWO_PI
                     a, b = kap * cos(up), kap * sin(up)
                     delta = rec[2] * (a - rec[5]) + rec[3] * (b - rec[6])
@@ -298,16 +296,9 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
                         rec[0], rec[5], rec[6] = up, a, b
                         accepts += 1
             else:
-                for rec, step, v in zip(active, z, accept_u):
-                    u = rec[0]
-                    up = u + step
-                    if up < win_a or up > win_b:
-                        continue
-                    delta = inv2s2 * (2.0 * rec[2] * (up - u)
-                                      - rec[1] * (up * up - u * u))
-                    if delta >= 0.0 or v < exp(delta):
-                        rec[0] = up
-                        accepts += 1
+                for rec, v in zip(active, refresh_u):
+                    rec[0] = draw(rec[2] / rec[1], rec[1], v)
+                accepts += k_active
 
             if sweep == next_keep:
                 next_keep += config.thin

@@ -20,9 +20,8 @@ i*aug .. (i+1)*aug starting from draw i, and takes one array pass over all
 rows per future point.  Its cells are slot-major, shape (slots, rows), with
 slots added as clusters open, and keep a count and the ``kernel_table`` of a
 location, so a future point makes no trig call.  The augmentation stream is
-drawn point by point, in the order it had before the trig tables: one
-uniform per row, then the new clusters' locations in one call.  The layer
-takes no prior: |alpha| is the length of the kernel's window.
+drawn point by point: one uniform per row, then the new clusters' locations
+in one call.  The layer takes no prior: |alpha| is the window's length.
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ def line_chart(path, x: Sequence[float], series: Sequence,
     # curves and legend
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{to_px(xv, float(yv))[0]:.2f},{to_px(xv, float(yv))[1]:.2f}"
-                       for xv, yv in zip(xs, values))
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in
+                       (to_px(xv, float(yv)) for xv, yv in zip(xs, values)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.8"/>')
         ly = py0 + 16 * idx

@@ -230,6 +230,22 @@ class TestEstimate:
         assert code == 0
         assert f"weight_mean={TWO_PI:.6f}" in out
 
+    def test_narrow_gaussian_passes_the_acceptance_gate(self, tmp_path,
+                                                        capsys):
+        # sigma = 0.002 on [0, 4], a hundredth of a fixed random-walk step of
+        # 0.2: the Gibbs refresh accepts every draw, so the exit-3 gate on a
+        # low acceptance rate stays quiet however narrow the kernel
+        pattern = tmp_path / "x.csv"
+        pattern.write_text("location\n0.2\n1.1\n1.3\n2.0\n3.9\n")
+        code, _, err = run(["estimate", "--window", "0,4", "--sigma", "0.002",
+                            "--pattern", str(pattern), "--shrink",
+                            "--burn-in", "100", "--samples", "100", "--thin",
+                            "1", "--json", str(tmp_path / "est.json")],
+                           capsys)
+        assert code == 0, err
+        est = json.loads((tmp_path / "est.json").read_text())
+        assert est[0]["diagnostics"]["acceptance_rate"] == 1.0
+
 
 class TestPredict:
     def test_scores_future_patterns(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every exported name is reached by the package or a demo, not only tests,
-and every defaulted parameter of the package is passed by some call."""
+every defaulted parameter of the package is passed by some call, and the
+package imports no scipy."""
 
 import ast
 from pathlib import Path
@@ -148,3 +149,19 @@ def test_only_kernels_knows_the_two_kernels():
             if node.attr in ("kind", "kappa", "sigma") and not on_args:
                 found.append(f"{path.stem}:{node.lineno} .{node.attr}")
     assert not found, f"kernel knowledge outside kernels.py: {found}"
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only run-time dependency; scipy is a test oracle
+    found = []
+    for path in sorted((ROOT / "src" / "nhppbayes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported in the package: {found}"

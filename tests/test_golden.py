@@ -59,12 +59,12 @@ COMMANDS = {
         ["estimate", "--window", "0,4", "--sigma", "0.5", "--pattern", "x.csv",
          "--shrink", "--seed", "3", *CHAIN, "--csv", "est.csv", "--json",
          "est.json"], {"x.csv": INTERVAL_PATTERN},
-        "be2aab6f78edcb3bfb2344298a874daf0bf0328c741ebcd80710931eb148dae9"),
+        "c2f50e0150a5116eec893eda4ac441a023bfa3841657dc486f89558654da1ead"),
     "predict-gaussian": (
         ["predict", "--window", "0,4", "--sigma", "0.5", "--pattern", "x.csv",
          "--future", "y.csv", "--seed", "3", *CHAIN, "--out", "scores.csv"],
         {"x.csv": INTERVAL_PATTERN, "y.csv": INTERVAL_FUTURE},
-        "9d778a58a416c9279b90c91c089ef5d4d12255091f4ce5506e88c4e2fbef3527"),
+        "dd4fb542c9de5760714cbc6a13e198d87d7f4a6ef74657c635d5eececdbcc7a4"),
     "estimate-repeated": (
         ["estimate", "--kappa", "20", "--pattern", "x.csv", "--seed", "4",
          *CHAIN, "--csv", "est.csv", "--json", "est.json"],

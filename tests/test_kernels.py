@@ -16,7 +16,7 @@ from nhppbayes import (KernelSpec, ModelError, Window, bessel_i0, eval_kernel,
                        validate)
 from nhppbayes.kernels import (_bessel_ratios, eval_peak_ratio, eval_table,
                                kernel_table, mixture_series,
-                               sample_kernel_posterior)
+                               sample_kernel_posterior, truncated_normal)
 
 TWO_PI = 2.0 * math.pi
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -261,25 +261,52 @@ class TestSampleKernelPosterior:
         assert gen.bit_generator.state == twin.bit_generator.state
         assert u.shape == (1,) and 0.0 <= u[0] <= 1e-3
 
-    def test_scipy_loads_only_for_the_gaussian_draw(self):
-        # a fresh interpreter, since conftest has imported scipy in this one
+    def test_gaussian_commands_run_without_scipy(self, tmp_path):
+        # a fresh interpreter, since conftest has imported scipy in this one;
+        # a scipy import would raise ImportError, and a circle command does
+        # not load statistics, which only the truncated normal draw needs
+        (tmp_path / "x.csv").write_text("location\n0.2\n1.1\n3.9\n")
+        (tmp_path / "y.csv").write_text("location\n0.5\n3.5\n")
         code = textwrap.dedent("""
             import sys
-            import numpy as np
-            import nhppbayes, nhppbayes.cli
-            from nhppbayes import KernelSpec, Window
-            from nhppbayes.kernels import sample_kernel_posterior
-            loaded = [m for m in sys.modules if m.startswith("scipy")]
-            assert not loaded, loaded
-            window = Window.interval(0.0, 4.0)
-            u = sample_kernel_posterior(KernelSpec.gaussian(1.0, window), 3.9,
-                                        np.random.default_rng(1), 100)
-            assert u.shape == (100,) and np.all((u >= 0.0) & (u <= 4.0))
+            sys.modules["scipy"] = None
+            from nhppbayes.cli import main
+            chain = ["--burn-in", "20", "--samples", "20", "--thin", "1"]
+            assert main(["estimate", "--pattern", "x.csv", *chain]) == 0
+            assert "statistics" not in sys.modules
+            interval = ["--window", "0,4", "--sigma", "0.5", "--pattern",
+                        "x.csv", *chain]
+            assert main(["estimate", *interval]) == 0
+            assert main(["predict", *interval, "--future", "y.csv"]) == 0
+            assert "statistics" in sys.modules
         """)
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestTruncatedNormal:
+    @pytest.mark.parametrize("sigma, a, b, mean, n", [
+        (1.0, 0.0, 4.0, 0.2, 1),
+        (2.0, 0.0, 4.0, 4.0, 1),      # the mean on an edge
+        (0.005, 0.0, 4.0, 0.0, 3),    # 1385 s of window above it
+        (0.1, 3.0, 4.0, 0.0, 1),      # the window 30 to 40 s above the mean
+        (0.1, 0.0, 1.0, 4.0, 1),      # and 30 to 40 s below it
+        (100.0, 0.0, 4.0, 1.0, 1),    # sigma far wider than the window
+    ])
+    def test_matches_truncnorm_quantiles(self, sigma, a, b, mean, n):
+        # both tails of the truncated law, at the smallest and largest
+        # uniforms the generator returns
+        from scipy import stats
+        draw = truncated_normal(KernelSpec.gaussian(sigma,
+                                                    Window.interval(a, b)))
+        s = sigma / math.sqrt(n)
+        target = stats.truncnorm((a - mean) / s, (b - mean) / s, loc=mean,
+                                 scale=s)
+        for v in (0.0, 1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 2 ** -53):
+            assert draw(mean, n, v) == pytest.approx(target.ppf(v), abs=1e-12)
 
 
 class TestMixture:

@@ -114,7 +114,7 @@ class TestRunMcmc:
         ("n_60",
          "d23617e09283462c300865be9898a625e6f506651338fa9b97f007b037d24d9a"),
         ("gaussian_edges",
-         "5aa00a39a0313dde432ed88d0f508bcc3cb048d0b55d5effc90f58b5cb95c1de"),
+         "007f6fa8b1db5dab2cf7d3021c934fa929a538284fc7ec1e1673b69c8438166c"),
     ])
     def test_draw_tables_pinned(self, case, digest):
         # the golden CLI hashes run von Mises chains at kappa 5 and 20 with
@@ -158,6 +158,39 @@ class TestRunMcmc:
                            RngStream(8))
         assert res.assignments.shape == (10, 4)
         assert np.all((res.locations >= 0.0) & (res.locations <= 1e308))
+
+    @pytest.mark.parametrize("sigma, b", [(1e9, 1e10), (1e150, 1e308)])
+    def test_wide_gaussian_chain_moves_its_locations(self, sigma, b):
+        # every sweep draws each location afresh from its truncated normal
+        # law, whatever sigma's scale, so no location of a draw is within
+        # 1.0 of one of the draw before, as a refresh by a fixed step of 0.2
+        # would leave it (or, at sigma = 1e150, where it was)
+        window = Window.interval(0.0, b)
+        kernel = KernelSpec.gaussian(sigma, window)
+        res = run_mcmc(PointPattern(window, np.array([1.0, 5.0, 9.0]) * sigma),
+                       kernel, McmcConfig(burn_in=50, samples=50, thin=1),
+                       RngStream(3))
+        assert res.acceptance_rate == 1.0
+        assert np.all((res.locations >= 0.0) & (res.locations <= b))
+        draws = np.split(res.locations, np.cumsum(res.cluster_count_trace)[:-1])
+        assert min(np.abs(u[:, None] - v).min()
+                   for u, v in zip(draws, draws[1:])) > 1.0
+
+    @pytest.mark.parametrize("sigma", [0.005, 2.0])
+    def test_single_gaussian_location_is_its_truncated_kernel(self, sigma):
+        # N = 1 on [0, 4]: every sweep draws the location afresh from
+        # N(x, sigma^2) cut to the window, so the kept locations are
+        # independent draws of it, at any sigma
+        from scipy import stats
+        window = Window.interval(0.0, 4.0)
+        kernel = KernelSpec.gaussian(sigma, window)
+        x = 3.99
+        res = run_mcmc(PointPattern(window, [x]), kernel,
+                       McmcConfig(burn_in=20, samples=2000, thin=1),
+                       RngStream(29))
+        target = stats.truncnorm(-x / sigma, (4.0 - x) / sigma, loc=x,
+                                 scale=sigma)
+        assert stats.kstest(res.locations, target.cdf).pvalue > 1e-3
 
     def test_large_kappa_chain_finishes(self, circle, uniform_prior):
         # kappa = 800 overflows an unscaled exp(kappa cos d)
@@ -306,6 +339,36 @@ class TestPosteriorLambdaBar:
         grand = chains.mean(axis=0)
         se = chains.std(axis=0, ddof=1) / math.sqrt(chains.shape[0])
         assert np.all(np.abs(grand - oracle) < 3 * se)
+
+    def test_two_gaussian_points_match_quadrature_oracle(self):
+        # two points on [0, 4]: apart, with probability proportional to
+        # m1 m2, or one cluster, proportional to m12, where m is the
+        # integral over u of the members' kernel product (the uniform base's
+        # 1 / |alpha| per cluster cancels against the CRP's |alpha|); given
+        # the partition a cluster adds n k(y, u) averaged over u weighted
+        # by that product, which the Gibbs refresh draws at n = 2 as
+        # N(mean, sigma^2 / 2) cut to the window
+        window = Window.interval(0.0, 4.0)
+        kernel = KernelSpec.gaussian(0.5, window)
+        xs = [0.3, 0.9]
+        grid = np.linspace(0.0, 4.0, 17)
+        nodes, wts = window.quad_nodes(8192)
+        k1, k2 = (eval_kernel(kernel, x, nodes) for x in xs)
+        ky = eval_kernel(kernel, grid[:, None], nodes)
+        m1, m2, m12 = wts @ k1, wts @ k2, wts @ (k1 * k2)
+        apart = ky @ (wts * k1) / m1 + ky @ (wts * k2) / m2
+        together = 2.0 * (ky @ (wts * k1 * k2)) / m12
+        p_apart = m1 * m2 / (m1 * m2 + m12)
+        oracle = ((window_mass(kernel, grid) + p_apart * apart
+                   + (1.0 - p_apart) * together) / (window.length + 2.0))
+        cfg = McmcConfig(burn_in=200, samples=400, thin=1)
+        chains = np.stack([
+            posterior_lambda_bar(
+                run_mcmc(PointPattern(window, xs), kernel, cfg,
+                         RngStream(53, c)), kernel, grid).values
+            for c in range(32)])
+        se = chains.std(axis=0, ddof=1) / math.sqrt(chains.shape[0])
+        assert np.all(np.abs(chains.mean(axis=0) - oracle) < 3 * se)
 
 
 def fixed_draws(locations_per_draw, n_obs):
