@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
 def _load_pattern(path, window: Window) -> PointPattern:
     try:
         return PointPattern.from_csv(path, window)
-    except (OSError, ModelError) as exc:
+    except (OSError, UnicodeDecodeError, ModelError) as exc:
         raise ModelError(f"cannot load pattern {path}: {exc}")
 
 
@@ -174,6 +174,7 @@ def cmd_predict(args) -> int:
     pattern = _load_pattern(args.pattern, window)
     if not args.future:
         raise ModelError("predict needs at least one --future pattern")
+    futures = [_load_pattern(path, window) for path in args.future]
     kernel = _build_kernel(args, window)
     prior = PriorSpec.uniform_unit(window, gamma=args.gamma_value)
     mcmc = McmcConfig(args.burn_in, args.samples, args.thin)
@@ -181,8 +182,7 @@ def cmd_predict(args) -> int:
                                   RngStream(args.seed),
                                   aug_replicates=args.aug_replicates)
     rows = []
-    for k, path in enumerate(args.future):
-        future = _load_pattern(path, window)
+    for k, (path, future) in enumerate(zip(args.future, futures)):
         score = predictive.log_score(future, RngStream(args.seed, 1000 + k))
         rows.append((path, future.count, repr(score)))
         print(f"{path} M={future.count} log_score={score:.6f}")
@@ -380,7 +380,7 @@ class _Config(argparse.Action):
         try:
             with open(path) as fh:
                 values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise argparse.ArgumentError(self, f"cannot read {path}: {exc}")
         if not isinstance(values, dict):
             raise argparse.ArgumentError(self, f"{path} must hold a JSON object")

@@ -191,7 +191,7 @@ class PointPattern:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0].strip() != "location":
+            if not header or header[0].strip() != "location":
                 raise ModelError(f"{path}: expected CSV header 'location'")
             for row in reader:
                 if row:
@@ -224,11 +224,6 @@ class GridDensity:
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    def integral(self) -> float:
-        if self.window.is_circle:
-            return float(np.sum(self.values) * TWO_PI / self.grid.size)
-        return float(np.trapezoid(self.values, self.grid))
 
     def scaled(self, c: float) -> "GridDensity":
         return GridDensity(self.window, self.grid, c * self.values)

@@ -297,7 +297,7 @@ def run_mcmc(pattern: PointPattern, kernel: KernelSpec,
                         accepts += 1
             else:
                 for rec, v in zip(active, refresh_u):
-                    rec[0] = draw(rec[2] / rec[1], rec[1], v)
+                    rec[0], = draw(rec[2] / rec[1], rec[1], (v,))
                 accepts += k_active
 
             if sweep == next_keep:

@@ -37,7 +37,6 @@ from .kernels import (KernelSpec, check_window, eval_table, kernel_table,
 from .posterior import McmcConfig, McmcResult, run_mcmc
 from .simulate import RngLike, as_generator
 
-_NB_TERMS = 10_000_000  # most terms nb_total_mass sums before it gives up
 _GROW = 4  # slots the point layer adds when a row runs out of them
 
 
@@ -55,40 +54,6 @@ def nb_log_pmf(r: float, p: float, m: int) -> float:
     except OverflowError:
         raise ModelError(f"r = {r!r} is beyond the range of lgamma") from None
     return float(log_coef + m * math.log(p) + r * math.log1p(-p))
-
-
-def nb_total_mass(r: float, p: float, tol: float = 1e-10):
-    """Truncated pmf sum with a certified geometric tail bound below tol.
-
-    The pmf ratio p (m + r) / (m + 1) falls with m when r >= 1 and rises
-    towards p when r < 1, so the current ratio bounds every later one in the
-    first case and p does in the second.  Once that bound is below 1 the
-    certified tail falls with m, so a tail still at or above tol at the
-    10^7-term cap is rejected at once, before the sum.  So is a pmf(0) =
-    (1 - p)^r that underflows to 0, which would certify a zero sum.
-    """
-    pmf = math.exp(nb_log_pmf(r, p, 0))
-    if pmf == 0.0:
-        raise ModelError(f"negative binomial pmf(0) underflows at r = {r!r}, "
-                         f"p = {p!r}")
-    bound = p * (_NB_TERMS + r) / (_NB_TERMS + 1) if r >= 1.0 else p
-    if bound >= 1.0 or (math.exp(nb_log_pmf(r, p, _NB_TERMS))
-                        * bound / (1.0 - bound) >= tol):
-        raise ModelError("negative binomial tail did not certify")
-    total = 0.0
-    m = 0
-    while True:
-        total += pmf
-        ratio = p * (m + r) / (m + 1)
-        bound = ratio if r >= 1.0 else p
-        if bound < 1.0:
-            tail = pmf * bound / (1.0 - bound)
-            if tail < tol:
-                return total, tail
-        pmf *= ratio
-        m += 1
-        if m > _NB_TERMS:
-            raise ModelError("negative binomial tail did not certify")
 
 
 def predictive_count_params(prior: PriorSpec, n: int, s: float, t: float):

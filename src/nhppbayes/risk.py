@@ -233,12 +233,6 @@ class RiskReport:
     entries: list
     notes: list = field(default_factory=list)
 
-    def entry(self, label: str) -> RiskEntry:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
-
     def to_json_obj(self) -> dict:
         return {
             "entries": [{

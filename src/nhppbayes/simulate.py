@@ -1,5 +1,4 @@
-"""Exact sampling of point-process realizations and of the
-Chinese-restaurant prior.
+"""Exact sampling of point-process realizations.
 
 Reproducibility contract: every sampler takes an RngStream (a seed plus a
 stream id) and derives a fresh counter-based generator from it, so identical
@@ -16,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import IntensityModel, ModelError, PointPattern, PriorSpec, invert_cdf
+from .core import IntensityModel, ModelError, PointPattern, invert_cdf
 from .kernels import sample_kernel_points
 
 
@@ -98,37 +97,3 @@ def log_pattern_density(model: IntensityModel, pattern: PointPattern,
     if m:
         total += float(np.sum(np.log(model.normalized(pattern.points))))
     return total
-
-
-def sample_crp(prior: PriorSpec, n: int, rng: RngLike):
-    """Sequential Chinese-restaurant draw of n latent locations.
-
-    Returns (locations, labels): the first location is a base draw; each
-    subsequent one repeats an earlier location with probability 1/(|alpha|+k)
-    each, or is a fresh base draw with probability |alpha|/(|alpha|+k).
-    """
-    if n < 0:
-        raise ModelError("n must be nonnegative")
-    gen = as_generator(rng)
-    theta = prior.total_mass_alpha
-    locations = np.empty(n)
-    labels = np.empty(n, dtype=int)
-    table_locs = []
-    if n == 0:
-        return locations, labels
-    base_u = gen.random(n)          # decision uniforms, one per customer
-    fresh = gen.uniform(prior.window.a, prior.window.b, n)
-    fresh_used = 0
-    for k in range(n):
-        if k == 0 or base_u[k] * (theta + k) < theta:
-            table_locs.append(fresh[fresh_used])
-            fresh_used += 1
-            labels[k] = len(table_locs) - 1
-        else:
-            # repeat one of the k earlier draws uniformly (reusing the
-            # residual of the decision uniform, which is uniform on [0, k))
-            j = min(int(base_u[k] * (theta + k) - theta), k - 1)
-            labels[k] = labels[j]
-        locations[k] = table_locs[labels[k]]
-    return locations, labels
-

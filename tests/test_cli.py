@@ -541,6 +541,27 @@ def test_bad_config_exits_2(config, named, tmp_path, capsys, no_chain):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["estimate", "--pattern", "BAD"], b"\nlocation\n1.0\n"),
+    (["estimate", "--pattern", "BAD"], b"location\n1.0\xff\n"),
+    (["predict", "--pattern", "OK", "--future", "BAD"], b"\nlocation\n"),
+    (["predict", "--pattern", "OK", "--future", "BAD"], b"location\n\xff\n"),
+    (["estimate", "--pattern", "OK", "--config", "BAD"], b'{"kappa": 3\xff}'),
+    (["risk", "--study", "BAD"], b'{"kind": "estimation"\xff}'),
+], ids=["blank-pattern", "binary-pattern", "blank-future", "binary-future",
+        "binary-config", "binary-study"])
+def test_unreadable_file_exits_2(argv, bad, tmp_path, capsys, no_chain):
+    # a blank first line or a byte that is not text: an error that names the
+    # file, never a traceback, and found before any chain runs
+    ok, path = tmp_path / "ok.csv", tmp_path / "bad.file"
+    ok.write_text("location\n1.0\n")
+    path.write_bytes(bad)
+    argv = [{"OK": str(ok), "BAD": str(path)}.get(a, a) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "error:" in err and str(path) in err
+
+
 def test_readme_commands_parse(tmp_path, monkeypatch):
     # every command line the README shows parses, so a retired flag cannot
     # linger there; --study reads its file while parsing, so the README's

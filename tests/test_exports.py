@@ -1,6 +1,6 @@
-"""Every exported name is reached by the package or a demo, not only tests,
-every defaulted parameter of the package is passed by some call, and the
-package imports no scipy."""
+"""Every public name of the package is reached by the package or a demo,
+not only tests, every defaulted parameter of the package is passed by some
+call, and the package imports no scipy."""
 
 import ast
 from pathlib import Path
@@ -8,12 +8,12 @@ from pathlib import Path
 import nhppbayes
 
 ROOT = Path(__file__).parent.parent
+PACKAGE = sorted((ROOT / "src" / "nhppbayes").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# Exported on purpose although only tests call them: the oracles.
+# Public although only tests call them: the oracles.  Test-only helpers live
+# in tests/conftest.py.
 ORACLES = {
-    "sample_crp": "the truth draw of simulation-based calibration (test_08)",
-    "nb_total_mass": "the count layer's pmf sum oracle",
-    "bessel_i0": "the Bessel accuracy checks",
     "kl_intensity": "the paper's loss; its tests pin the _kl_from_values "
                     "that the harnesses call",
 }
@@ -33,13 +33,29 @@ def referenced(path):
     return names
 
 
+def reached():
+    """The names the package's modules, but for ``__init__``'s re-exports,
+    and the demos refer to."""
+    files = [p for p in PACKAGE if p.name != "__init__.py"] + DEMOS
+    return set().union(*map(referenced, files))
+
+
 def test_every_export_is_reached():
-    files = [p for p in (ROOT / "src" / "nhppbayes").glob("*.py")
-             if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
-    reached = set().union(*map(referenced, files))
-    unreached = sorted(set(nhppbayes.__all__) - reached - set(ORACLES))
+    unreached = sorted(set(nhppbayes.__all__) - reached() - set(ORACLES))
     assert not unreached, f"exported but reached only by tests: {unreached}"
     assert set(ORACLES) <= set(nhppbayes.__all__)
+
+
+def test_every_public_definition_is_reached():
+    # exported or not, a public module-level function or class that only
+    # tests call belongs in tests/conftest.py
+    names = reached()
+    unreached = [f"{path.stem}.{node.name}" for path in PACKAGE
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")
+                 and node.name not in names | set(ORACLES)]
+    assert not unreached, f"defined but reached only by tests: {unreached}"
 
 
 def defaulted(fn, skip_first):
@@ -108,12 +124,11 @@ def passed(files):
 
 
 def test_every_default_is_passed():
-    package = sorted((ROOT / "src" / "nhppbayes").glob("*.py"))
-    calls = passed(package + sorted(ROOT.glob("demos/*.py"))
+    calls = passed(PACKAGE + DEMOS
                    + sorted(ROOT.glob("bench/*.py"))
                    + sorted(ROOT.glob("tests/*.py")))
     unpassed = []
-    for path in package:
+    for path in PACKAGE:
         for name, where, params in signatures(ast.parse(path.read_text())):
             for param, position in params:
                 if not any(call is None or param in call[0]
@@ -129,7 +144,7 @@ def test_only_kernels_knows_the_two_kernels():
     # a kind off a kernel or an intensity, or reads kappa or sigma, but for
     # the CLI's parsed options and the sweep that run_mcmc inlines
     found = []
-    for path in sorted((ROOT / "src" / "nhppbayes").glob("*.py")):
+    for path in PACKAGE:
         if path.name == "kernels.py":
             continue
         tree = ast.parse(path.read_text())
@@ -154,7 +169,7 @@ def test_only_kernels_knows_the_two_kernels():
 def test_no_module_imports_scipy():
     # numpy is the only run-time dependency; scipy is a test oracle
     found = []
-    for path in sorted((ROOT / "src" / "nhppbayes").glob("*.py")):
+    for path in PACKAGE:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

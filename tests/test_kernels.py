@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import peak_traced_mb
-from nhppbayes import (KernelSpec, ModelError, Window, bessel_i0, eval_kernel,
+from conftest import bessel_i0, peak_traced_mb
+from nhppbayes import (KernelSpec, ModelError, Window, eval_kernel,
                        mixture_density, mixture_intensity, quadrature,
                        validate)
 from nhppbayes.kernels import (_bessel_ratios, eval_peak_ratio, eval_table,
@@ -305,8 +305,8 @@ class TestTruncatedNormal:
         s = sigma / math.sqrt(n)
         target = stats.truncnorm((a - mean) / s, (b - mean) / s, loc=mean,
                                  scale=s)
-        for v in (0.0, 1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 2 ** -53):
-            assert draw(mean, n, v) == pytest.approx(target.ppf(v), abs=1e-12)
+        vs = [0.0, 1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 2 ** -53]
+        assert draw(mean, n, vs) == pytest.approx(target.ppf(vs), abs=1e-12)
 
 
 class TestMixture:

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import batch_se, draw_table
+from conftest import (batch_se, draw_table, grid_integral,
+                      partition_posterior)
 from nhppbayes import (McmcConfig, ModelError, PointPattern, PriorSpec,
                        RngStream, Window, estimate_intensity_multi,
                        posterior_lambda_bar, posterior_weight_mean, run_mcmc)
@@ -312,7 +313,7 @@ class TestPosteriorLambdaBar:
         cfg = McmcConfig(burn_in=200, samples=200, thin=2)
         res = run_mcmc(pattern, vm5, cfg, RngStream(21))
         density = posterior_lambda_bar(res, vm5)
-        assert density.integral() == pytest.approx(1.0, abs=1e-3)
+        assert grid_integral(density) == pytest.approx(1.0, abs=1e-3)
 
     def test_single_point_matches_quadrature_oracle(self, circle, vm5,
                                                     uniform_prior):
@@ -371,6 +372,33 @@ class TestPosteriorLambdaBar:
         assert np.all(np.abs(chains.mean(axis=0) - oracle) < 3 * se)
 
 
+class TestExactSmallPosterior:
+    @pytest.mark.parametrize("kernel", [
+        *(KernelSpec.von_mises(kappa) for kappa in (0.5, 5.0, 50.0)),
+        *(KernelSpec.gaussian(sigma, Window.interval(0.0, 4.0))
+          for sigma in (0.2, 0.5, 2.0))],
+        ids=["kappa0.5", "kappa5", "kappa50", "sigma0.2", "sigma0.5", "sigma2"])
+    def test_chains_match_partition_enumeration(self, kernel):
+        # five points, 52 partitions: the mean cluster count and lambda-bar
+        # at 9 nodes, over 16 chains, against the exact posterior
+        window = kernel.window
+        xs = ([0.3, 0.5, 1.9, 2.4, 4.6] if window.is_circle
+              else [0.2, 0.9, 1.1, 2.6, 3.7])
+        nodes = window.grid(9)
+        exact_k, exact_shape = partition_posterior(kernel, xs, nodes)
+        cfg = McmcConfig(burn_in=500, samples=4000, thin=1)
+        chains = []
+        for c in range(16):
+            draws = run_mcmc(PointPattern(window, xs), kernel, cfg,
+                             RngStream(67, c))
+            chains.append([draws.cluster_count_trace.mean(),
+                           *posterior_lambda_bar(draws, kernel, nodes).values])
+        chains = np.array(chains)
+        se = chains.std(axis=0, ddof=1) / math.sqrt(len(chains))
+        z = (chains.mean(axis=0) - [exact_k, *exact_shape]) / se
+        assert np.all(np.abs(z) < 4.0), z
+
+
 def fixed_draws(locations_per_draw, n_obs):
     """Draws with the given cluster locations and near-equal cluster sizes."""
     return draw_table(
@@ -426,7 +454,7 @@ class TestEstimateIntensity:
         cfg = McmcConfig(burn_in=200, samples=200, thin=2)
         summary, = estimate_intensity_multi(pattern, uniform_prior, vm5, 1.0,
                                             [0.0], cfg, RngStream(31))
-        assert summary.lambda_hat.integral() == \
+        assert grid_integral(summary.lambda_hat) == \
             pytest.approx(summary.weight_mean, abs=1e-3 * summary.weight_mean)
 
     def test_shape_invariant_across_gamma_and_beta(self, circle, vm5):

@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import draw_table, peak_traced_mb
+from conftest import draw_table, nb_total_mass, peak_traced_mb
 
 from nhppbayes import (KernelSpec, McmcConfig, ModelError, PointPattern,
                        PriorSpec, RngStream, Window, build_predictive,
-                       nb_log_pmf, nb_total_mass, posterior_lambda_bar,
+                       nb_log_pmf, posterior_lambda_bar,
                        predictive_count_params, predictive_point_logdensity,
                        run_mcmc, sample_nhpp)
 from nhppbayes.kernels import (eval_kernel, sample_kernel_posterior,

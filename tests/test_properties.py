@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_table, kl_decomposed
+from conftest import draw_table, kl_decomposed, nb_total_mass
 from nhppbayes import (KernelSpec, Window, kl_intensity, mixture_intensity,
-                       nb_total_mass, posterior_lambda_bar)
+                       posterior_lambda_bar)
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Window.circle()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import kl_decomposed
+from conftest import kl_decomposed, report_entry
 from nhppbayes import (IntensityModel, McmcConfig, ModelError, PriorSpec,
                        RngStream, domination_study, estimation_risk_mc,
                        integral_representation_check, kl_intensity,
@@ -271,9 +271,9 @@ class TestEstimationRiskMc:
         report = estimation_risk_mc(sine2, uniform_prior, vm5, 1.0, 25, cfg,
                                     RngStream(82), gammas=gammas,
                                     grid_size=512)
-        diff = report.entry("diff:gamma=0-gamma=5.28319")
-        losses_a = report.entry("gamma=0").losses
-        losses_b = report.entry("gamma=5.28319").losses
+        diff = report_entry(report, "diff:gamma=0-gamma=5.28319")
+        losses_a = report_entry(report, "gamma=0").losses
+        losses_b = report_entry(report, "gamma=5.28319").losses
         np.testing.assert_allclose(diff.losses, losses_a - losses_b,
                                    rtol=0, atol=1e-14)
         # the paired difference depends on the replication only through its

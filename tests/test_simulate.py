@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import poisson_gof_pvalue
+from conftest import poisson_gof_pvalue, sample_crp
 from nhppbayes import (IntensityModel, ModelError, RngStream,
-                       mixture_intensity, sample_crp, sample_nhpp)
+                       mixture_intensity, sample_nhpp)
 
 TWO_PI = 2.0 * math.pi
 
