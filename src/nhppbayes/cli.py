@@ -23,27 +23,29 @@ restores each option's built-in default and reads NHPP_SEED again, so no
 config file's values reach the next run.
 
 An option that the run does not read, set away from its built-in default by
-a flag or by the config file, exits 2 before any chain runs.  ``risk`` reads
-seed and the options ``RISK_OPTIONS`` lists for its kind.  In ``estimate``
-and ``predict`` the window picks the kernel, von Mises on the circle and
-Gaussian on an interval, so they read ``--kappa`` only on the circle and
-``--sigma`` only on an interval; the other commands read every option.  The
-echo shows an unread option at its built-in value, so it still reruns.
+a flag or by the config file, exits 2 before any chain runs.  Each ``risk``
+kind is a function of ``KINDS`` whose keyword parameters are the options it
+reads, and seed counts as read by every kind.  In ``estimate`` and ``predict`` the window
+picks the kernel, von Mises on the circle and Gaussian on an interval, so
+they read ``--kappa`` only on the circle and ``--sigma`` only on an
+interval; the other commands read every option.  The echo shows an unread
+option at its built-in value, so it still reruns.
 
 ``risk --check KIND`` names the run, and so does a config file's ``kind``
 key: a study file is a ``risk`` config file, and ``--study`` is a second
-name for ``--config``.  ``theorem3`` runs at
-the prior gamma 2 pi - 1 (the uniform base's |alpha| - 1), ``estimation``
-reports gamma beside 2 pi - 1, and ``theorem4`` and ``domination`` tabulate
-gamma against abs_alpha - 1 over w_grid.  The three studies write a CSV
-report to ``--out`` (default ``risk_report.csv``) and a JSON one beside it;
-``theorem4`` writes the CSV only when ``--out`` is given.
+name for ``--config``.  ``theorem3`` runs at the prior gamma 2 pi - 1 (the
+uniform base's |alpha| - 1), ``estimation`` reports gamma beside 2 pi - 1,
+and ``theorem4`` tabulates gamma against abs_alpha - 1 over w_grid.  A kind
+that reads ``--out`` writes a CSV report there and a JSON one beside it
+exactly when ``--out`` is given; the two reports and the config file must
+be three different files.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -191,7 +193,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _check_lemma1(_args) -> bool:
+def lemma1() -> bool:
     grids = [0.5, 2.0, 10.0]
     functions = [("n", lambda n: n.astype(float)),
                  ("n^2", lambda n: n.astype(float) ** 2),
@@ -209,7 +211,7 @@ def _check_lemma1(_args) -> bool:
     return worst <= 1e-6
 
 
-def _check_lemma3(_args) -> bool:
+def lemma3() -> bool:
     thetas = np.geomspace(0.01, 50.0, 20)
     cs = np.geomspace(0.1, 10.0, 10)
     ok = True
@@ -225,34 +227,45 @@ def _check_lemma3(_args) -> bool:
     return ok
 
 
-def _check_theorem4(args) -> bool:
-    report = _domination_study(args)
-    for note in report.notes:
-        print("note:", note)
+def _json_sibling(out) -> str:
+    return os.path.splitext(out)[0] + ".json"
+
+
+def _write_report(report, out) -> None:
+    """With ``out`` given, write ``report`` there as CSV and beside it as
+    JSON."""
+    if out:
+        report.to_csv(out)
+        write_json(_json_sibling(out), report.to_json_obj())
+
+
+def theorem4(abs_alpha, gamma, tau, w_grid, out) -> bool:
+    report = domination_study(abs_alpha, gamma, w_grid, tau)
+    _write_report(report, out)
     for entry in report.entries:
         print(f"{entry.label}: {entry.estimate:.8g}")
     positive = all(e.estimate > 0 for e in report.entries)
     print("all positive" if positive else "nonpositive value found")
-    if args.out:
-        report.to_csv(args.out)
     return positive
 
 
-def _harness(args) -> tuple:
+def _harness(intensity, kappa, burn_in, samples) -> tuple:
     """The truth, kernel, uniform prior and chain of a Monte Carlo run."""
     window = Window.circle()
-    return (named_intensity(args.intensity, window),
-            KernelSpec.von_mises(args.kappa, window),
+    return (named_intensity(intensity, window),
+            KernelSpec.von_mises(kappa, window),
             PriorSpec.uniform_unit(window),
-            McmcConfig(args.burn_in, args.samples, thin=1))
+            McmcConfig(burn_in, samples, thin=1))
 
 
-def _check_theorem3(args) -> bool:
-    true_model, kernel, prior, mcmc = _harness(args)
+def theorem3(intensity, kappa, s, t, replications, burn_in, samples, seed,
+             nodes, grid_size) -> bool:
+    true_model, kernel, prior, mcmc = _harness(intensity, kappa, burn_in,
+                                               samples)
     check = integral_representation_check(
         true_model, prior.with_gamma(prior.total_mass_alpha - 1.0), kernel,
-        args.s, args.t, args.replications, mcmc, RngStream(args.seed),
-        nodes=args.nodes, grid_size=args.grid_size)
+        s, t, replications, mcmc, RngStream(seed), nodes=nodes,
+        grid_size=grid_size)
     print(f"predictive risk: {check.predictive.estimate:.5f} "
           f"+- {check.predictive.std_error:.5f}")
     print(f"integral of estimation risks: {check.integral:.5f} "
@@ -262,45 +275,37 @@ def _check_theorem3(args) -> bool:
     return check.passed
 
 
-def _estimation_study(args):
-    true_model, kernel, prior, mcmc = _harness(args)
-    gammas = list(dict.fromkeys([args.gamma, prior.total_mass_alpha - 1.0]))
-    return estimation_risk_mc(true_model, prior, kernel, args.s,
-                              args.replications, mcmc, RngStream(args.seed),
-                              gammas=gammas, t=args.t,
-                              grid_size=args.grid_size)
+def _print_study(report, out) -> bool:
+    """Write and print a study's report; a study always passes."""
+    _write_report(report, out)
+    for entry in report.entries:
+        print(f"{entry.label}: {entry.estimate:.6g} +- {entry.std_error:.3g}")
+    return True
 
 
-def _predictive_study(args):
-    true_model, kernel, prior, mcmc = _harness(args)
-    return predictive_risk_mc(true_model, prior.with_gamma(args.gamma), kernel,
-                              args.s, args.t, args.replications, mcmc,
-                              RngStream(args.seed))
+def estimation(intensity, kappa, s, t, replications, burn_in, samples, seed,
+               gamma, grid_size, out) -> bool:
+    true_model, kernel, prior, mcmc = _harness(intensity, kappa, burn_in,
+                                               samples)
+    gammas = list(dict.fromkeys([gamma, prior.total_mass_alpha - 1.0]))
+    return _print_study(estimation_risk_mc(
+        true_model, prior, kernel, s, replications, mcmc, RngStream(seed),
+        gammas=gammas, t=t, grid_size=grid_size), out)
 
 
-def _domination_study(args):
-    report = domination_study(args.abs_alpha, args.gamma, args.w_grid,
-                              args.tau)
-    if not report.entries:
-        raise ModelError("; ".join(report.notes))
-    return report
+def predictive(intensity, kappa, s, t, replications, burn_in, samples, seed,
+               gamma, out) -> bool:
+    true_model, kernel, prior, mcmc = _harness(intensity, kappa, burn_in,
+                                               samples)
+    return _print_study(predictive_risk_mc(
+        true_model, prior.with_gamma(gamma), kernel, s, t, replications, mcmc,
+        RngStream(seed)), out)
 
 
-GATES = {"lemma1": _check_lemma1, "lemma3": _check_lemma3,
-         "theorem3": _check_theorem3, "theorem4": _check_theorem4}
-STUDIES = {"estimation": _estimation_study, "predictive": _predictive_study,
-           "domination": _domination_study}
-_MONTE_CARLO = ("intensity", "kappa", "s", "t", "replications", "burn_in",
-                "samples")
-RISK_OPTIONS = {
-    "lemma1": (),
-    "lemma3": (),
-    "theorem3": _MONTE_CARLO + ("nodes", "grid_size"),
-    "theorem4": ("gamma", "abs_alpha", "tau", "w_grid", "out"),
-    "estimation": _MONTE_CARLO + ("gamma", "grid_size", "out"),
-    "predictive": _MONTE_CARLO + ("gamma", "out"),
-    "domination": ("gamma", "abs_alpha", "tau", "w_grid", "out"),
-}
+# each kind's keyword parameters are the options it reads, and it returns
+# whether it passed
+KINDS = {kind.__name__: kind for kind in (lemma1, lemma3, theorem3, theorem4,
+                                          estimation, predictive)}
 
 
 def _check_reads(args, built_in: dict) -> None:
@@ -311,7 +316,8 @@ def _check_reads(args, built_in: dict) -> None:
             raise ModelError("risk needs --check KIND, or a config file "
                              "with a 'kind' key")
         run = f"risk --check {args.kind}"
-        reads = {"config", "kind", "seed", *RISK_OPTIONS[args.kind]}
+        reads = {"config", "kind", "seed",
+                 *inspect.signature(KINDS[args.kind]).parameters}
         unread = [key for key in vars(args) if key not in reads]
     elif args.command in ("estimate", "predict"):
         run = f"{args.command} --window {args.window}"
@@ -324,25 +330,22 @@ def _check_reads(args, built_in: dict) -> None:
         raise ModelError(f"{run} does not read {', '.join(unread)}")
 
 
+def _check_report_paths(out, config) -> None:
+    """Exit 2 unless the CSV report ``out``, its JSON sibling and the
+    config file are different files."""
+    paths = [out, _json_sibling(out), *([config] if config else [])]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ModelError("the CSV report, the JSON report and the config "
+                         f"file must be different files: {', '.join(paths)}")
+
+
 def cmd_risk(args) -> int:
-    if args.kind in GATES:
-        return EXIT_OK if GATES[args.kind](args) else EXIT_GATE
-    # --out has no default because --check theorem4 writes a report only
-    # when it is given; a study always writes one
-    out = args.out or "risk_report.csv"
-    out_json = os.path.splitext(out)[0] + ".json"
-    if args.config and os.path.realpath(out_json) == os.path.realpath(
-            args.config):
-        raise ModelError(f"--out {out} would write its JSON report over "
-                         f"the config file {args.config}")
-    report = STUDIES[args.kind](args)
-    report.to_csv(out)
-    write_json(out_json, report.to_json_obj())
-    for entry in report.entries:
-        print(f"{entry.label}: {entry.estimate:.6g} +- {entry.std_error:.3g}")
-    for note in report.notes:
-        print("note:", note)
-    return EXIT_OK
+    if args.out:
+        _check_report_paths(args.out, args.config)
+    kind = KINDS[args.kind]
+    passed = kind(**{key: getattr(args, key)
+                     for key in inspect.signature(kind).parameters})
+    return EXIT_OK if passed else EXIT_GATE
 
 
 def cmd_figure1(args) -> int:
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("risk", help="risk studies and verification gates")
     common(p, "--study")
     fit(p)
-    p.add_argument("--check", dest="kind", choices=[*GATES, *STUDIES],
+    p.add_argument("--check", dest="kind", choices=[*KINDS],
                    help="the gate or study to run")
     p.add_argument("--intensity", default="sine2", help="sine2 or const:VALUE")
     p.add_argument("--gamma", type=float, default=0.0,

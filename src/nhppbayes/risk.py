@@ -4,7 +4,7 @@ Three layers:
 
 * exact computations: the divergence between intensities (quadrature),
   and the weight-risk difference between two shrinkage exponents (a
-  truncated Poisson series, certified by a Chernoff tail bound);
+  truncated Poisson series, certified by closed-form tail bounds);
 * identity checks: the Poisson derivative identity (finite differences vs
   the Stein-type right-hand side) and the Poisson log-shift inequality that
   drives the domination result;
@@ -73,41 +73,12 @@ def kl_intensity(true_model: IntensityModel, est_model: IntensityModel,
 # Poisson series utilities
 # ---------------------------------------------------------------------------
 
-def _chernoff_reach(theta: float, log_tail: float, sign: int) -> int:
-    """Fewest steps j >= 1 from floor(theta), up (sign 1) or down (sign -1),
-    at which n = floor(theta) + sign j has Chernoff tail bound
-    exp(-theta) (e theta / n)^n at most exp(log_tail), or n <= 0.
-
-    The search doubles j and then bisects, so it takes O(log j) steps.  It
-    stops doubling past ``_POISSON_TERMS``, where theta + j may round back
-    to theta, and then returns a reach past the cap, which the caller
-    rejects.
-    """
-    k0 = math.floor(theta)
-    frac = theta - k0
-
-    def outside(j):
-        n = k0 + sign * j
-        d = sign * j - frac  # n - theta
-        return n <= 0 or d - n * math.log1p(d / theta) <= log_tail
-
-    j = 1
-    while j <= _POISSON_TERMS and not outside(j):
-        j *= 2
-    lo, hi = j // 2, j
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if outside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
-    """Support and pmf of Poisson(theta) on the window [lo, hi] outside
-    which each tail's Chernoff bound exp(-theta) (e theta / n)^n is below
-    ``tail``.
+    """Support and pmf of Poisson(theta) on a window [lo, hi] outside which
+    each tail holds at most ``tail``.  With L = log(1 / tail), Bernstein's
+    bound puts hi at floor(theta + L/3 + sqrt(L^2/9 + 2 theta L)), and the
+    sub-Gaussian lower tail puts lo at ceil(theta - sqrt(2 theta L)), at
+    least 0; the window holds floor(theta).
 
     The pmf runs by the ratio recurrence outward from floor(theta), where
     p(k + 1) / p(k) = theta / (k + 1), and is divided by its sum.  No
@@ -121,13 +92,16 @@ def poisson_pmf_series(theta: float, tail: float = POISSON_TAIL):
                          f"got {theta}")
     if theta == 0.0:
         return np.zeros(1, dtype=np.int64), np.ones(1)
-    log_tail = math.log(tail)
-    k0 = math.floor(theta)
-    hi = k0 + _chernoff_reach(theta, log_tail, 1)
-    lo = max(0, k0 - _chernoff_reach(theta, log_tail, -1))
-    if hi - lo + 1 > _POISSON_TERMS:
+    log_inv = -math.log(tail)
+    above = log_inv / 3 + math.sqrt(log_inv * log_inv / 9
+                                    + 2 * theta * log_inv)
+    below = math.sqrt(2 * theta * log_inv)  # inf where 2 theta L overflows
+    if above + below + 1 > _POISSON_TERMS:
         raise ModelError(f"Poisson mean {theta:g} needs more than "
                          f"{_POISSON_TERMS} series terms")
+    k0 = math.floor(theta)
+    hi = math.floor(theta + above)
+    lo = min(k0, max(0, math.ceil(theta - below)))
     up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=float))
     down = np.cumprod(np.arange(k0, lo, -1, dtype=float) / theta)
     pmf = np.concatenate((down[::-1], [1.0], up))
@@ -231,7 +205,6 @@ class RiskEntry:
 @dataclass
 class RiskReport:
     entries: list
-    notes: list = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         return {
@@ -242,7 +215,6 @@ class RiskReport:
                 "replications": e.replications,
                 **({"meta": e.meta} if e.meta else {}),
             } for e in self.entries],
-            "notes": list(self.notes),
         }
 
     def to_csv(self, path) -> None:
@@ -406,29 +378,24 @@ def domination_study(abs_alpha: float, gamma: float,
     """Tabulate exact weight-risk differences over a grid of true weights.
 
     The gamma prior is set against gamma_tilde = |alpha| - 1, which needs
-    |alpha| - gamma > 1; a violation is reported in the notes rather than
-    raised.  A strictly positive table certifies domination of the gamma
-    prior by the gamma_tilde prior at the tabulated weights, so an empty
-    ``w_grid``, which would certify nothing, is an error.
+    |alpha| - gamma > 1, else ``ModelError``.  A strictly positive table
+    certifies domination of the gamma prior by the gamma_tilde prior at the
+    tabulated weights, so an empty ``w_grid``, which would certify nothing,
+    is an error too.
     """
     if len(w_grid) == 0:
         raise ModelError("domination study needs at least one weight in w_grid")
+    if not abs_alpha - gamma > 1:
+        raise ModelError(f"gamma={gamma:g} violates |alpha| - gamma > 1 "
+                         f"(|alpha|={abs_alpha:g})")
     gamma_tilde = abs_alpha - 1.0
     entries = []
-    notes = []
-    if abs_alpha - gamma > 1:
-        for w in w_grid:
-            value = weight_risk_difference_exact(abs_alpha, gamma, gamma_tilde,
-                                                 float(w), tau)
-            entries.append(RiskEntry(
-                f"gamma={gamma:g}|gamma_tilde={gamma_tilde:g}|w={w:g}",
-                value, 0.0, 0,
-                meta={"gamma": gamma, "gamma_tilde": gamma_tilde,
-                      "w": float(w), "tau": tau}))
-    else:
-        notes.append(f"gamma={gamma:g} violates |alpha| - gamma > 1 "
-                     f"(|alpha|={abs_alpha:g})")
-    if abs_alpha <= 1:
-        notes.append("|alpha| <= 1 is a boundary case: no gamma satisfies "
-                     "|alpha| - gamma > 1, so the study is empty")
-    return RiskReport(entries, notes)
+    for w in w_grid:
+        value = weight_risk_difference_exact(abs_alpha, gamma, gamma_tilde,
+                                             float(w), tau)
+        entries.append(RiskEntry(
+            f"gamma={gamma:g}|gamma_tilde={gamma_tilde:g}|w={w:g}",
+            value, 0.0, 0,
+            meta={"gamma": gamma, "gamma_tilde": gamma_tilde,
+                  "w": float(w), "tau": tau}))
+    return RiskReport(entries)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from nhppbayes import cli, posterior, predict, risk
-from nhppbayes.cli import RISK_OPTIONS, build_parser, main
+from nhppbayes.cli import KINDS, build_parser, main
 
 TWO_PI = 2.0 * math.pi
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -308,10 +309,13 @@ class TestRisk:
         assert "worst relative gap" in out
 
     def test_theorem4_gate_passes(self, capsys):
-        code, out, _ = run(["risk", "--check", "theorem4", "--abs-alpha",
-                            "6.2831853"], capsys)
-        assert code == 0
-        assert "all positive" in out
+        # |alpha| <= 1 still leaves the gammas below |alpha| - 1
+        for flags in (["--abs-alpha", "6.2831853"],
+                      ["--abs-alpha", "0.5", "--gamma", "-1"]):
+            code, out, _ = run(["risk", "--check", "theorem4", *flags],
+                               capsys)
+            assert code == 0
+            assert "all positive" in out and "note" not in out
 
     def test_requires_check_or_study(self, capsys):
         code, _, err = run(["risk"], capsys)
@@ -322,7 +326,7 @@ class TestRisk:
         # an empty w_grid would certify nothing, so it is an error too
         bad = tmp_path / "bad.json"
         for spec, named in [("{not json", "bad.json"),
-                            ('{"kind": "domination", "w_grid": []}', "w_grid"),
+                            ('{"kind": "theorem4", "w_grid": []}', "w_grid"),
                             ('{"kind": "bogus"}', "'kind'"),
                             ('{"kind": "predictive", "kapa": 3}', "'kapa'"),
                             ('{"kind": "predictive", "replications": "abc"}',
@@ -399,6 +403,8 @@ class TestRisk:
         assert len(chains) == 1
 
     def test_study_never_overwrites_itself(self, tmp_path, capsys, no_chain):
+        # the CSV report, its JSON sibling and the study file are three
+        # different files, or the run exits 2 before any chain
         spec = predictive_study(tmp_path)
         text = spec.read_text()
         code, _, err = run(["risk", "--study", str(spec), "--out",
@@ -407,6 +413,22 @@ class TestRisk:
         assert str(spec) in err
         assert spec.read_text() == text
         assert not (tmp_path / "study.csv").exists()
+        # a JSON study file named .csv, given as --out too
+        named_csv = tmp_path / "s.csv"
+        named_csv.write_text(text)
+        code, _, err = run(["risk", "--study", str(named_csv), "--out",
+                            str(named_csv)], capsys)
+        assert code == 2
+        assert str(named_csv) in err
+        assert named_csv.read_text() == text
+        assert not (tmp_path / "s.json").exists()
+        # --out ending in .json: the CSV would be its own JSON sibling
+        report = tmp_path / "r.json"
+        code, _, err = run(["risk", "--check", "predictive", "--out",
+                            str(report)], capsys)
+        assert code == 2
+        assert str(report) in err
+        assert not report.exists()
 
     def test_study_file_runs_as_flags(self, tmp_path, capsys):
         # a study file is a config file, so the same values given as
@@ -423,16 +445,23 @@ class TestRisk:
             assert ((tmp_path / "file" / report).read_bytes()
                     == (tmp_path / "flags" / report).read_bytes())
 
-    def test_domination_study_file(self, tmp_path, capsys):
+    def test_theorem4_study_file(self, tmp_path, capsys):
+        # theorem4 writes its table as a CSV and a JSON report exactly when
+        # --out is given
         spec = tmp_path / "study.json"
-        spec.write_text(json.dumps({"kind": "domination",
+        spec.write_text(json.dumps({"kind": "theorem4",
                                     "w_grid": [0.5, 2.0]}))
         out = tmp_path / "report.csv"
         code, _, _ = run(["risk", "--study", str(spec), "--out", str(out)],
                          capsys)
         assert code == 0
-        assert out.exists()
-        assert (tmp_path / "report.json").exists()
+        assert len(out.read_text().splitlines()) == 3
+        entries = json.loads((tmp_path / "report.json").read_text())
+        assert [e["meta"]["w"] for e in entries["entries"]] == [0.5, 2.0]
+        for path in (out, tmp_path / "report.json"):
+            path.unlink()
+        assert run(["risk", "--study", str(spec)], capsys)[0] == 0
+        assert os.listdir(tmp_path) == ["study.json"]
 
 
 class TestFigure1:
@@ -473,13 +502,14 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["risk", "--check", "theorem4", "--w-grid", "0"],
     ["risk", "--check", "theorem4", "--w-grid", "-1"],
     ["risk", "--check", "theorem4", "--abs-alpha", "0.5"],
+    ["risk", "--check", "theorem4", "--abs-alpha", "2", "--gamma", "1.5"],
     ["risk", "--check", "predictive", "--abs-alpha", "3"],
     ["risk", "--check", "predictive", "--w-grid", "1"],
     ["risk", "--check", "estimation", "--nodes", "4"],
     ["risk", "--check", "theorem3", "--gamma", "1"],
     ["risk", "--check", "theorem3", "--out", "report.csv"],
     ["risk", "--check", "theorem4", "--replications", "5"],
-    ["risk", "--check", "domination", "--kappa", "3"],
+    ["risk", "--check", "theorem4", "--kappa", "3"],
     ["risk", "--check", "lemma3", "--tau", "2"],
     ["estimate", "--sigma", "inf", "--window", "0,7"],
     ["estimate", "--sigma", "1e-320", "--window", "0,7"],
@@ -489,7 +519,7 @@ SHORT_CHAIN = ["--burn-in", "2", "--samples", "2", "--thin", "1"]
     ["estimate", "--s", "1e-320"],
     ["estimate", "--gamma=-inf"],
     ["risk", "--check", "theorem4", "--tau", "1e308"],
-    ["risk", "--check", "domination", "--w-grid", "1e11"],
+    ["risk", "--check", "theorem4", "--w-grid", "1e11"],
     ["risk", "--check", "theorem4", "--gamma=-inf"],
     ["risk", "--check", "estimation", "--t", "inf"],
     ["estimate", "--s", "inf", *SHORT_CHAIN],
@@ -562,6 +592,22 @@ def test_unreadable_file_exits_2(argv, bad, tmp_path, capsys, no_chain):
     assert "error:" in err and str(path) in err
 
 
+def test_readme_lists_what_each_kind_reads():
+    # README's "kind | options" table is the one copy of each kind's read
+    # set besides the kind's own parameters
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| kind | options |\n| --- | --- |\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        kinds, options = row.strip("|").split("|")
+        options = options.split(";")[0].strip()
+        reads = set() if options == "none" else set(options.strip("`").split())
+        for kind in re.findall(r"`(\w+)`", kinds):
+            listed[kind] = reads
+    assert listed == {kind: set(inspect.signature(fn).parameters)
+                      for kind, fn in KINDS.items()}
+
+
 def test_readme_commands_parse(tmp_path, monkeypatch):
     # every command line the README shows parses, so a retired flag cannot
     # linger there; --study reads its file while parsing, so the README's
@@ -621,7 +667,8 @@ def fuzz_runs():
         else:
             modes = [(None, None)]
         for mode, choice in modes:
-            reads = RISK_OPTIONS[choice] if mode == "kind" else CHEAP
+            reads = (inspect.signature(KINDS[choice]).parameters
+                     if mode == "kind" else CHEAP)
             base = {k: v for k, v in CHEAP.items()
                     if k in options and k in reads}
             if mode:

@@ -58,6 +58,44 @@ def test_every_public_definition_is_reached():
     assert not unreached, f"defined but reached only by tests: {unreached}"
 
 
+def attribute_uses(path):
+    """The attribute names a file calls, ``.name(...)``, and those it reads
+    anywhere, called or not."""
+    tree = ast.parse(path.read_text())
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return called, read
+
+
+def test_every_public_method_is_reached():
+    # a public method or classmethod counts as reached when the package or
+    # a demo calls .name(...), a property when one of them reads .name; a
+    # field of the same name, read but never called, does not reach a method
+    uses = [attribute_uses(p) for p in PACKAGE + DEMOS
+            if p.name != "__init__.py"]
+    called = set().union(*(c for c, _ in uses))
+    read = set().union(*(r for _, r in uses))
+    unreached, checked = [], 0
+    for path in PACKAGE:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("_")):
+                    continue
+                checked += 1
+                prop = any(ast.unparse(d) == "property"
+                           for d in fn.decorator_list)
+                if fn.name not in (read if prop else called):
+                    unreached.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert checked > 30
+    assert not unreached, f"defined but reached only by tests: {unreached}"
+
+
 def defaulted(fn, skip_first):
     """(name, position) of each defaulted parameter of a def; keyword-only
     ones have no position."""

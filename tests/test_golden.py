@@ -80,7 +80,7 @@ COMMANDS = {
     "predictive": (
         ["risk", "--check", "predictive", "--seed", "6", "--replications",
          "3", "--out", "report.csv"], {},
-        "ad29e6bf88261f320387a52584e303ed1c2bd8b86aadc0ded55da71e60d31bf3"),
+        "d145154491bf3b6a825b998c48a1562f5481ac05d4bf8d9deacb71f77aa736a5"),
 }
 
 
